@@ -86,8 +86,10 @@ type Config struct {
 	Prune bool
 	// Dedup enables content-hash image deduplication in the record-once
 	// engine: an image whose fingerprint was already checked reuses that
-	// verdict instead of running the checker again. The reported failure
-	// set is identical to the exhaustive one.
+	// verdict instead of running the checker again, and an image whose
+	// crash outcome key (pmem.CrashOutcome.Key) was already seen reuses it
+	// without being built. The reported failure set is identical to the
+	// exhaustive one.
 	Dedup bool
 	// DeepCopyImages materializes every crash image with fully private
 	// pages (pmem.Pool.SetCrashDeepCopy) instead of copy-on-write page

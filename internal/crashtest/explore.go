@@ -294,9 +294,30 @@ func Run(prog Program, check Checker, cfg Config) (*Result, error) {
 // recorded as orphans for the merge to attach.
 func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64, seeds []int64, jobs chan<- *imageJob) {
 	shadow := s.fork
-	var hashes map[[32]byte]*imageJob
+	// Under Dedup an image is looked up twice. Before it is built, by its
+	// outcome key in memo: the shadow's fingerprint plus the lines the
+	// policy applies determine the image exactly (pmem.CrashOutcome.Key),
+	// so a repeated key inherits its verdict without materializing
+	// anything. An image that is built is then looked up by content
+	// fingerprint in hashes, which catches equal images reached through
+	// different outcomes. memo[key] is always the job hashes resolved that
+	// key's image to, so both lookups make the same per-coordinate decisions
+	// fingerprinting every image would.
+	var hashes, memo map[[32]byte]*imageJob
+	var coins []*pmem.CrashCoins
+	var outcome pmem.CrashOutcome
 	if cfg.Dedup {
 		hashes = make(map[[32]byte]*imageJob)
+		memo = make(map[[32]byte]*imageJob)
+		coins = make([]*pmem.CrashCoins, len(seeds))
+		for si, seed := range seeds {
+			coins[si] = pmem.NewCrashCoins(seed)
+		}
+	}
+	reuse := func(jb *imageJob, point uint64, si int) {
+		s.dedup++
+		jb.refs = append(jb.refs, pointRef{point: point, seedIdx: si})
+		s.last[si] = jb
 	}
 	s.last = make([]*imageJob, len(seeds))
 	haveLast := false
@@ -333,28 +354,46 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 		}
 		changed = false
 		haveLast = true
+		var shadowFP [32]byte
 		if cfg.Dedup {
-			// Refresh the fork's Merkle group caches so every snapshot
-			// inherits them warm: each image's Fingerprint then rehashes
-			// only the pages its pending-line policy touched, instead of
-			// every group dirtied since the segment began.
+			// The shadow's fingerprint is the base of every outcome key at
+			// this boundary. Computing it also refreshes the fork's Merkle
+			// group caches, so every snapshot inherits them warm: each
+			// image's Fingerprint then rehashes only the pages its
+			// pending-line policy touched, instead of every group dirtied
+			// since the segment began.
 			start := time.Now()
-			shadow.Fingerprint()
+			shadowFP = shadow.Fingerprint()
 			s.fpNanos += time.Since(start).Nanoseconds()
 		}
 		for si, seed := range seeds {
-			start := time.Now()
-			img := shadow.Crash(cfg.Policy, seed)
-			s.snapNanos += time.Since(start).Nanoseconds()
+			var img *pmem.Pool
+			var key [32]byte
+			if cfg.Dedup {
+				start := time.Now()
+				shadow.SelectCrash(cfg.Policy, coins[si], &outcome)
+				key = outcome.Key(shadowFP)
+				s.fpNanos += time.Since(start).Nanoseconds()
+				if jb, ok := memo[key]; ok {
+					reuse(jb, point, si)
+					continue
+				}
+				start = time.Now()
+				img = shadow.CrashWith(&outcome)
+				s.snapNanos += time.Since(start).Nanoseconds()
+			} else {
+				start := time.Now()
+				img = shadow.Crash(cfg.Policy, seed)
+				s.snapNanos += time.Since(start).Nanoseconds()
+			}
 			var fp [32]byte
 			if cfg.Dedup {
-				start = time.Now()
+				start := time.Now()
 				fp = img.Fingerprint()
 				s.fpNanos += time.Since(start).Nanoseconds()
 				if jb, ok := hashes[fp]; ok {
-					s.dedup++
-					jb.refs = append(jb.refs, pointRef{point: point, seedIdx: si})
-					s.last[si] = jb
+					memo[key] = jb
+					reuse(jb, point, si)
 					img.Release() // duplicate image: verdict reused, pages recycled
 					continue
 				}
@@ -369,6 +408,7 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 			}
 			if cfg.Dedup {
 				hashes[fp] = jb
+				memo[key] = jb
 			}
 			s.jobs = append(s.jobs, jb)
 			s.last[si] = jb

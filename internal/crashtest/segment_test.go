@@ -19,7 +19,9 @@ func TestSegmentedExploreMatchesSerial(t *testing.T) {
 	for _, cfg := range []Config{
 		{Policy: pmem.CrashDropPending},
 		{Policy: pmem.CrashApplyPending, Stride: 2},
-		{Policy: pmem.CrashRandomPending, Seeds: []int64{11, 22}},
+		// Sixteen seeds make seeds agree on outcomes, so the outcome-keyed
+		// lookup fires within and across boundaries.
+		{Policy: pmem.CrashRandomPending, Seeds: seedRange(11, 16)},
 	} {
 		ref, err := RunSerial(exploreProg, exploreCheck, cfg)
 		if err != nil {
@@ -67,6 +69,65 @@ func TestSegmentedExploreMatchesSerial(t *testing.T) {
 					t.Errorf("policy %v %s segments=%d: Images=%d + Dedup=%d != (Points=%d - Pruned=%d) x %d seeds",
 						cfg.Policy, variant.name, segs, got.Images, got.DedupImages,
 						got.Points, got.PrunedPoints, nseeds)
+				}
+			}
+		}
+	}
+}
+
+// seedRange returns n consecutive seeds starting at first.
+func seedRange(first int64, n int) []int64 {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = first + int64(i)
+	}
+	return seeds
+}
+
+// TestDedupCountsDistinctImages is the brute-force oracle for the dedup
+// counters: it crashes a trapped re-execution at every (point, seed)
+// coordinate and fingerprints each image. Images must equal the number of
+// distinct fingerprints and DedupImages the remaining materialized
+// coordinates, at every segment count, for every policy, with and without
+// pruning — a pruned boundary's image equals the previous materialized
+// one's, so pruning removes coordinates but never a distinct image.
+func TestDedupCountsDistinctImages(t *testing.T) {
+	for _, policy := range []pmem.CrashPolicy{pmem.CrashDropPending, pmem.CrashApplyPending, pmem.CrashRandomPending} {
+		cfg := Config{Policy: policy, Seeds: seedRange(1, 16)}
+		cfg.fill()
+		seeds := cfg.effectiveSeeds()
+		distinct := map[[32]byte]bool{}
+		for point := uint64(1); ; point++ {
+			pool, trapped, err := runTrapped(exploreProg, &cfg, point)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !trapped {
+				pool.Release()
+				break
+			}
+			for _, seed := range seeds {
+				img := pool.Crash(policy, seed)
+				distinct[img.Fingerprint()] = true
+				img.Release()
+			}
+			pool.Release()
+		}
+		for _, prune := range []bool{false, true} {
+			for _, segs := range []int{1, 2, 4} {
+				c := cfg
+				c.Workers = 2
+				c.Segments = segs
+				c.Prune = prune
+				c.Dedup = true
+				got, err := Run(exploreProg, exploreCheck, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				materialized := (got.Points - got.PrunedPoints) * len(seeds)
+				if got.Images != len(distinct) || got.DedupImages != materialized-len(distinct) {
+					t.Errorf("policy %v prune=%v segments=%d: Images=%d DedupImages=%d, brute force %d distinct of %d materialized",
+						policy, prune, segs, got.Images, got.DedupImages, len(distinct), materialized)
 				}
 			}
 		}
@@ -182,7 +243,7 @@ func FuzzForkedVsSerial(f *testing.F) {
 			cfg.Policy = pmem.CrashApplyPending
 		case 2:
 			cfg.Policy = pmem.CrashRandomPending
-			cfg.Seeds = []int64{3, 9}
+			cfg.Seeds = seedRange(3, 8)
 		}
 		prog := buildFuzzProg(ops)
 

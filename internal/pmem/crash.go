@@ -56,6 +56,113 @@ func (p *Pool) SetFlatTables(v bool) {
 	p.flatTables = v
 }
 
+// CrashCoins is one seed's CrashRandomPending coin sequence, drawn lazily
+// and kept: coin i decides the fate of the i-th pending line in ascending
+// line order. Seeding a math/rand source is most of the cost of a
+// random-policy Crash of a state with pending lines, so a caller that
+// crashes many states under the same seed (the record-once explorer, at
+// every boundary) holds one CrashCoins per seed instead of reseeding. Not
+// safe for concurrent use.
+type CrashCoins struct {
+	seed int64
+	rng  *rand.Rand // seeded on the first draw: a state with no pending line draws none
+	bits []uint64   // bit i set: coin i applies its line
+	n    int        // coins drawn so far
+}
+
+// NewCrashCoins returns seed's coin sequence — the coins Crash(
+// CrashRandomPending, seed) draws.
+func NewCrashCoins(seed int64) *CrashCoins {
+	return &CrashCoins{seed: seed}
+}
+
+// apply reports coin i, drawing the sequence up to it on first use.
+func (c *CrashCoins) apply(i int) bool {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
+	}
+	for ; c.n <= i; c.n++ {
+		if c.n&63 == 0 {
+			c.bits = append(c.bits, 0)
+		}
+		if c.rng.Intn(2) == 0 {
+			c.bits[c.n>>6] |= 1 << (c.n & 63)
+		}
+	}
+	return c.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// CrashOutcome is the effective outcome of one crash: the pending lines the
+// policy applies whose staged bytes differ from the persistent image, in
+// ascending line order, together with those staged bytes. A crash image is
+// fully determined by the persistent image it starts from plus its
+// effective outcome, which is what lets an explorer recognize a duplicate
+// image before building it (see Key). The zero value is ready for use and
+// is reused across SelectCrash calls.
+type CrashOutcome struct {
+	// rec is Key's preimage: a fingerprint slot, then one outcomeRec-byte
+	// record per effective line — its index, little-endian, followed by its
+	// LineSize staged bytes. It stays empty, header included, until a line
+	// or a Key needs it, so a plain Crash writing no line allocates nothing
+	// here.
+	rec []byte
+	// lines is the sorted pending-line scratch SelectCrash reuses.
+	lines []uint64
+}
+
+const (
+	outcomeHdr = 32
+	outcomeRec = 8 + LineSize
+)
+
+// count returns the number of lines the outcome writes.
+func (o *CrashOutcome) count() int {
+	if len(o.rec) < outcomeHdr {
+		return 0
+	}
+	return (len(o.rec) - outcomeHdr) / outcomeRec
+}
+
+// line returns the i-th effective line index and its staged bytes.
+func (o *CrashOutcome) line(i int) (uint64, []byte) {
+	r := o.rec[outcomeHdr+i*outcomeRec:]
+	return binary.LittleEndian.Uint64(r), r[8:outcomeRec]
+}
+
+// Key returns the SHA-256 of fp followed by each effective line's index and
+// staged bytes. With fp the Fingerprint of the pool the outcome was
+// selected from, equal keys mean equal crash images — resting on SHA-256
+// exactly as fingerprint deduplication does — so an explorer can look an
+// image up before building it.
+func (o *CrashOutcome) Key(fp [32]byte) [32]byte {
+	if len(o.rec) == 0 {
+		o.rec = append(o.rec, make([]byte, outcomeHdr)...)
+	}
+	copy(o.rec, fp[:])
+	return sha256.Sum256(o.rec)
+}
+
+// SelectCrash fills o with the effective outcome of crashing the pool's
+// current state under policy: the lines Crash(policy, seed) writes, with
+// CrashRandomPending's coins drawn from coins (NewCrashCoins(seed); ignored
+// by the deterministic policies). CrashWith(o) then builds the image.
+func (p *Pool) SelectCrash(policy CrashPolicy, coins *CrashCoins, o *CrashOutcome) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.syncLocked()
+	p.selectCrashLocked(policy, coins, o)
+}
+
+// CrashWith returns the crash image of outcome o, which SelectCrash must
+// have selected from the pool's current state. Crash is SelectCrash
+// followed by CrashWith.
+func (p *Pool) CrashWith(o *CrashOutcome) *Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.syncLocked()
+	return p.crashWithLocked(o)
+}
+
 // Crash simulates a power failure and returns a new pool whose contents are
 // the persistent image (plus pending lines according to the policy, seeded
 // by seed for CrashRandomPending). The new pool starts with no handlers, all
@@ -71,6 +178,8 @@ func (p *Pool) SetFlatTables(v bool) {
 // either side's subsequent writes duplicate shared chunks and pages before
 // modifying them.
 func (p *Pool) Crash(policy CrashPolicy, seed int64) *Pool {
+	coins := CrashCoins{seed: seed}
+	var o CrashOutcome
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -78,7 +187,50 @@ func (p *Pool) Crash(policy CrashPolicy, seed int64) *Pool {
 	// observed by a detector that is still behind on the stream that
 	// produced it.
 	p.syncLocked()
+	p.selectCrashLocked(policy, &coins, &o)
+	return p.crashWithLocked(&o)
+}
 
+// selectCrashLocked is SelectCrash under p.mu. Staged lines are visited in
+// ascending line order so the per-line coin sequence of CrashRandomPending
+// is a pure function of (state, policy, seed), independent of flush order;
+// every pending line draws a coin, content-equal ones included.
+func (p *Pool) selectCrashLocked(policy CrashPolicy, coins *CrashCoins, o *CrashOutcome) {
+	o.rec = o.rec[:0]
+	if policy == CrashDropPending || p.pendingLineCount == 0 {
+		return
+	}
+	lines := o.lines[:0]
+	if cap(lines) < len(p.pendingLines) {
+		lines = make([]uint64, 0, len(p.pendingLines))
+	}
+	for _, l := range p.pendingLines {
+		if st := p.mutAt(int(l >> lineShift)).state[l&lineMask]; st == linePending || st == lineDirtyPending {
+			lines = append(lines, l)
+		}
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	o.lines = lines
+	for i, l := range lines {
+		if policy == CrashRandomPending && !coins.apply(i) {
+			continue
+		}
+		lo := (l & lineMask) * LineSize
+		staged := p.mutAt(int(l >> lineShift)).pending[lo : lo+LineSize]
+		if bytes.Equal(p.persistLine(l), staged) {
+			continue // identical bytes: the image is unaffected
+		}
+		if len(o.rec) == 0 {
+			o.rec = append(o.rec, make([]byte, outcomeHdr)...)
+		}
+		o.rec = binary.LittleEndian.AppendUint64(o.rec, l)
+		o.rec = append(o.rec, staged...)
+	}
+}
+
+// crashWithLocked is CrashWith under p.mu: the one materialization path of
+// every crash image, for the chunked, flat-table and deep-copy engines.
+func (p *Pool) crashWithLocked(o *CrashOutcome) *Pool {
 	nc := len(p.persist)
 	tables := newTables(nc)
 	n := &Pool{
@@ -126,37 +278,13 @@ func (p *Pool) Crash(policy CrashPolicy, seed int64) *Pool {
 		n.superOK = append([]bool(nil), p.superOK...)
 	}
 
-	if policy != CrashDropPending && p.pendingLineCount > 0 {
-		// Apply staged lines in ascending line order so the per-line coin
-		// sequence of CrashRandomPending is a pure function of (state,
-		// policy, seed), independent of flush order.
-		lines := make([]uint64, 0, len(p.pendingLines))
-		for _, l := range p.pendingLines {
-			if st := p.mutAt(int(l >> lineShift)).state[l&lineMask]; st == linePending || st == lineDirtyPending {
-				lines = append(lines, l)
-			}
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		var rng *rand.Rand
-		if policy == CrashRandomPending {
-			rng = rand.New(rand.NewSource(seed))
-		}
-		for _, l := range lines {
-			apply := true
-			if rng != nil {
-				apply = rng.Intn(2) == 0
-			}
-			if !apply {
-				continue
-			}
-			lo := (l & lineMask) * LineSize
-			staged := p.mutAt(int(l >> lineShift)).pending[lo : lo+LineSize]
-			if bytes.Equal(n.persistLine(l), staged) {
-				continue // identical bytes: no chunk needs duplicating
-			}
-			pg := n.persistWritable(int(l >> lineShift))
-			copy(pg.data[lo:lo+LineSize], staged)
-		}
+	// Apply the outcome's lines; only their chunks and pages are
+	// duplicated.
+	for i := 0; i < o.count(); i++ {
+		l, staged := o.line(i)
+		lo := (l & lineMask) * LineSize
+		pg := n.persistWritable(int(l >> lineShift))
+		copy(pg.data[lo:lo+LineSize], staged)
 	}
 
 	// The snapshot's volatile image aliases its persistent image — the
