@@ -16,14 +16,9 @@ type crashOpts struct {
 	json       bool
 	out        string
 	minSpeedup float64
-	// minCowScale, when > 0, fails the experiment unless the geomean
-	// speedup of copy-on-write over deep-copy image materialization at the
-	// largest sweep size reaches the bound (the crash_image_scaling gate;
-	// CI runs it as a soft gate).
-	minCowScale float64
-	ops         int
-	stride      int
-	workers     int
+	ops        int
+	stride     int
+	workers    int
 	// maxSnapDecay, when > 0, fails the experiment if the geomean snapshot
 	// decay — COW points/sec at the smallest sweep size over points/sec at
 	// the largest — exceeds the bound. With chunk-shared page tables the
@@ -43,14 +38,10 @@ type crashOpts struct {
 	segGate   int
 	// sweepSizesMiB are the pool sizes of the crash-image scaling sweep;
 	// sweepPoints caps crash points per sweep cell so the op count, not the
-	// point count, stays fixed across sizes. sweepDeepLimitMiB stops
-	// deep-copy baseline rows above that size (0 = sweep it everywhere):
-	// O(pool) images at gigabyte pools add minutes of wall clock and no
-	// information.
-	sweepSizesMiB     []int
-	sweepPoints       int
-	sweepDeepLimitMiB int
-	workloads         []string
+	// point count, stays fixed across sizes.
+	sweepSizesMiB []int
+	sweepPoints   int
+	workloads     []string
 }
 
 // crashArtifact is the BENCH_crash.json schema: per-engine wall-clock and
@@ -74,28 +65,14 @@ type crashArtifact struct {
 	SegmentScaling         *crashSegScaling      `json:"segment_scaling,omitempty"`
 }
 
-// crashScaling is the pool-size sweep section of the artifact: COW vs
-// deep-copy image materialization at growing pool sizes with the op count
-// fixed, plus the per-size and largest-size speedup summaries the
-// crash_image_scaling CI gate reads.
+// crashScaling is the pool-size sweep section of the artifact: image
+// materialization at growing pool sizes with the op count fixed, plus the
+// flatness summaries the -maxsnapdecay gate reads.
 type crashScaling struct {
-	SizesMiB  []int `json:"sizes_mib"`
-	MaxPoints int   `json:"max_points"`
-	// DeepCopyLimitMiB is the largest size the deep-copy baseline was swept
-	// at; COW and flat rows cover every size.
-	DeepCopyLimitMiB int                         `json:"deepcopy_limit_mib"`
-	Results          []harness.CrashScalingPoint `json:"results"`
-	// CowSpeedups maps "workload/<size>MiB" to deep-copy time over COW time
-	// (sizes within the deep-copy limit only).
-	CowSpeedups map[string]float64 `json:"cow_speedups"`
-	// ChunkSpeedups maps "workload/<size>MiB" to flat-table time over
-	// chunked COW time — the pointer-work the two-level tables remove.
-	ChunkSpeedups map[string]float64 `json:"chunk_speedups"`
-	// GeomeanCowSpeedupLargest aggregates the speedups at the largest
-	// deep-copy-swept size across workloads — the number -mincowscale
-	// bounds.
-	GeomeanCowSpeedupLargest float64 `json:"geomean_cow_speedup_largest"`
-	// CowFlatness maps workload to COW points/sec at the largest size over
+	SizesMiB  []int                       `json:"sizes_mib"`
+	MaxPoints int                         `json:"max_points"`
+	Results   []harness.CrashScalingPoint `json:"results"`
+	// CowFlatness maps workload to points/sec at the largest size over
 	// points/sec at the smallest: 1.0 is perfectly flat scaling.
 	CowFlatness map[string]float64 `json:"cow_flatness"`
 	// SnapDecay maps workload to the inverse of CowFlatness — points/sec at
@@ -121,12 +98,11 @@ type crashSegScaling struct {
 	GeomeanSegSpeedup float64 `json:"geomean_seg_speedup"`
 }
 
-// crashExp measures crash-space exploration six ways per workload —
+// crashExp measures crash-space exploration four ways per workload —
 // exhaustive serial re-execution, the record-once engine with a checker
-// worker pool, the same engine with pruning and deduplication, the reducer
-// engine over the flat-table and deep-copy snapshot baselines, and the
-// fork-parallel segmented dispatcher — after the harness has verified all six
-// report the identical failure set. The sanity gates are structural: the
+// worker pool, the same engine with pruning and deduplication, and the
+// fork-parallel segmented dispatcher — after the harness has verified all
+// four report the identical failure set. The sanity gates are structural: the
 // reduced engine must check strictly fewer images than the exhaustive
 // reference on every workload, the segmented engine's reducer counters must
 // equal the single-segment engine's, and -minspeedup (when set) bounds the
@@ -153,7 +129,7 @@ func crashExp(opts crashOpts) error {
 		if err != nil {
 			return err
 		}
-		serial, parallel, reduced, flat, deepcopy, segmented := rs[0], rs[1], rs[2], rs[3], rs[4], rs[5]
+		serial, parallel, reduced, segmented := rs[0], rs[1], rs[2], rs[3]
 		if reduced.ImagesChecked >= serial.ImagesChecked {
 			return fmt.Errorf("crash %s: reducers checked %d images, not below the exhaustive %d",
 				workload, reduced.ImagesChecked, serial.ImagesChecked)
@@ -166,8 +142,6 @@ func crashExp(opts crashOpts) error {
 		}
 		parSpeed := float64(serial.Nanos) / float64(parallel.Nanos)
 		redSpeed := float64(serial.Nanos) / float64(reduced.Nanos)
-		flatSpeed := float64(serial.Nanos) / float64(flat.Nanos)
-		deepSpeed := float64(serial.Nanos) / float64(deepcopy.Nanos)
 		segSpeed := float64(serial.Nanos) / float64(segmented.Nanos)
 		art.Results = append(art.Results, rs...)
 		art.ParallelSpeedups[workload] = parSpeed
@@ -181,10 +155,6 @@ func crashExp(opts crashOpts) error {
 				mark = fmt.Sprintf("%9.2fx", parSpeed)
 			case "parallel+reducers":
 				mark = fmt.Sprintf("%9.2fx", redSpeed)
-			case "flat+reducers":
-				mark = fmt.Sprintf("%9.2fx", flatSpeed)
-			case "deepcopy+reducers":
-				mark = fmt.Sprintf("%9.2fx", deepSpeed)
 			case "segmented+reducers":
 				mark = fmt.Sprintf("%9.2fx", segSpeed)
 			}
@@ -198,10 +168,9 @@ func crashExp(opts crashOpts) error {
 	fmt.Printf("geomean speedup over exhaustive: parallel %.2fx, +reducers %.2fx (cpus: %d, workers: %d)\n",
 		art.GeomeanParallelSpeedup, art.GeomeanReducedSpeedup, art.CPUs, art.Workers)
 
-	// Pool-size sweep: COW vs deep-copy image materialization, op count and
-	// crash-point cap fixed, only the pool size growing. COW images cost
-	// O(dirty pages), so their points/sec should be near-flat; the deep-copy
-	// baseline pays O(pool) per image and falls off.
+	// Pool-size sweep: op count and crash-point cap fixed, only the pool
+	// size growing. Images cost O(dirty pages), so points/sec should be
+	// near-flat.
 	if len(opts.sweepSizesMiB) > 0 {
 		sc, err := crashScalingSweep(opts)
 		if err != nil {
@@ -238,12 +207,6 @@ func crashExp(opts crashOpts) error {
 	if opts.minSpeedup > 0 && art.GeomeanParallelSpeedup < opts.minSpeedup {
 		return fmt.Errorf("crash: geomean parallel speedup %.2fx below required %.2fx",
 			art.GeomeanParallelSpeedup, opts.minSpeedup)
-	}
-	if opts.minCowScale > 0 && art.Scaling != nil {
-		if art.Scaling.GeomeanCowSpeedupLargest < opts.minCowScale {
-			return fmt.Errorf("crash: geomean cow speedup %.2fx at %dMiB below required %.2fx",
-				art.Scaling.GeomeanCowSpeedupLargest, art.Scaling.DeepCopyLimitMiB, opts.minCowScale)
-		}
 	}
 	if opts.maxSnapDecay > 0 && art.Scaling != nil {
 		if art.Scaling.GeomeanSnapDecay > opts.maxSnapDecay {
@@ -313,99 +276,42 @@ func crashSegmentSweep(opts crashOpts) (*crashSegScaling, error) {
 }
 
 // crashScalingSweep runs and prints the pool-size sweep, returning the
-// artifact section the crash_image_scaling gates read.
+// artifact section the -maxsnapdecay gate reads.
 func crashScalingSweep(opts crashOpts) (*crashScaling, error) {
-	fmt.Println("\n--- Crash-image scaling: chunked COW vs flat tables vs deep-copy across pool sizes ---")
-	fmt.Printf("%-12s %8s %-10s %8s %12s %12s %14s %10s %10s\n",
-		"workload", "pool", "engine", "images", "time", "points/s", "pages z/s/p", "cow-gain", "chunk-gain")
-	// deepLargest is the largest size the deep-copy baseline is swept at —
-	// the size the -mincowscale gate is evaluated at.
-	deepLargest := opts.sweepSizesMiB[len(opts.sweepSizesMiB)-1]
-	if opts.sweepDeepLimitMiB > 0 {
-		deepLargest = 0
-		for _, mib := range opts.sweepSizesMiB {
-			if mib <= opts.sweepDeepLimitMiB {
-				deepLargest = mib
-			}
-		}
-	}
+	fmt.Println("\n--- Crash-image scaling across pool sizes ---")
+	fmt.Printf("%-12s %8s %8s %12s %12s %14s\n",
+		"workload", "pool", "images", "time", "points/s", "pages z/s/p")
 	sc := &crashScaling{
-		SizesMiB:         opts.sweepSizesMiB,
-		MaxPoints:        opts.sweepPoints,
-		DeepCopyLimitMiB: deepLargest,
-		CowSpeedups:      map[string]float64{},
-		ChunkSpeedups:    map[string]float64{},
-		CowFlatness:      map[string]float64{},
-		SnapDecay:        map[string]float64{},
+		SizesMiB:    opts.sweepSizesMiB,
+		MaxPoints:   opts.sweepPoints,
+		CowFlatness: map[string]float64{},
+		SnapDecay:   map[string]float64{},
 	}
-	logLargest, logDecay := 0.0, 0.0
+	logDecay := 0.0
 	for _, workload := range opts.workloads {
 		pts, err := harness.MeasureCrashScaling(workload, opts.ops, opts.stride,
-			opts.workers, opts.sweepPoints, opts.sweepSizesMiB, opts.sweepDeepLimitMiB)
+			opts.workers, opts.sweepPoints, opts.sweepSizesMiB)
 		if err != nil {
 			return nil, err
 		}
 		sc.Results = append(sc.Results, pts...)
-		// Index the rows by (size, engine): every size has cow and flat
-		// rows, sizes within the deep-copy limit also have a deepcopy row.
-		type cell = harness.CrashScalingPoint
-		bySize := map[int]map[string]cell{}
 		for _, r := range pts {
-			if bySize[r.PoolMiB] == nil {
-				bySize[r.PoolMiB] = map[string]cell{}
-			}
-			bySize[r.PoolMiB][r.Engine] = r
+			fmt.Printf("%-12s %5dMiB %8d %12s %12.1f %14s\n",
+				r.Workload, r.PoolMiB, r.Images,
+				time.Duration(r.Nanos).Round(time.Microsecond), r.PointsPerSec,
+				fmt.Sprintf("%d/%d/%d", r.ZeroPages, r.SharedPages, r.PrivatePages))
 		}
-		var firstCow, lastCow cell
-		for i, mib := range opts.sweepSizesMiB {
-			row := bySize[mib]
-			cow := row["cow"]
-			if i == 0 {
-				firstCow = cow
-			}
-			lastCow = cow
-			key := fmt.Sprintf("%s/%dMiB", workload, mib)
-			chunkGain := float64(row["flat"].Nanos) / float64(cow.Nanos)
-			sc.ChunkSpeedups[key] = chunkGain
-			cowGain := 0.0
-			if deep, ok := row["deepcopy"]; ok {
-				cowGain = float64(deep.Nanos) / float64(cow.Nanos)
-				sc.CowSpeedups[key] = cowGain
-				if mib == deepLargest {
-					logLargest += math.Log(cowGain)
-				}
-			}
-			for _, eng := range []string{"cow", "flat", "deepcopy"} {
-				r, ok := row[eng]
-				if !ok {
-					continue
-				}
-				mark, cmark := "", ""
-				if eng == "cow" {
-					cmark = fmt.Sprintf("%9.2fx", chunkGain)
-					if cowGain > 0 {
-						mark = fmt.Sprintf("%9.2fx", cowGain)
-					}
-				}
-				fmt.Printf("%-12s %5dMiB %-10s %8d %12s %12.1f %14s %10s %10s\n",
-					r.Workload, r.PoolMiB, r.Engine, r.Images,
-					time.Duration(r.Nanos).Round(time.Microsecond), r.PointsPerSec,
-					fmt.Sprintf("%d/%d/%d", r.ZeroPages, r.SharedPages, r.PrivatePages), mark, cmark)
-			}
-		}
-		sc.CowFlatness[workload] = lastCow.PointsPerSec / firstCow.PointsPerSec
-		sc.SnapDecay[workload] = firstCow.PointsPerSec / lastCow.PointsPerSec
+		first, last := pts[0], pts[len(pts)-1]
+		sc.CowFlatness[workload] = last.PointsPerSec / first.PointsPerSec
+		sc.SnapDecay[workload] = first.PointsPerSec / last.PointsPerSec
 		logDecay += math.Log(sc.SnapDecay[workload])
 	}
-	sc.GeomeanCowSpeedupLargest = math.Exp(logLargest / float64(len(opts.workloads)))
 	sc.GeomeanSnapDecay = math.Exp(logDecay / float64(len(opts.workloads)))
 	largest := opts.sweepSizesMiB[len(opts.sweepSizesMiB)-1]
-	fmt.Printf("geomean cow speedup over deep-copy at %dMiB: %.2fx\n", deepLargest, sc.GeomeanCowSpeedupLargest)
 	fmt.Printf("geomean snapshot decay %d->%dMiB: %.2fx\n", opts.sweepSizesMiB[0], largest, sc.GeomeanSnapDecay)
 	for _, workload := range opts.workloads {
-		fmt.Printf("  %s cow flatness (%d->%dMiB points/sec ratio): %.2f, chunk gain at %dMiB: %.2fx\n",
-			workload, opts.sweepSizesMiB[0], largest, sc.CowFlatness[workload],
-			largest, sc.ChunkSpeedups[fmt.Sprintf("%s/%dMiB", workload, largest)])
+		fmt.Printf("  %s flatness (%d->%dMiB points/sec ratio): %.2f\n",
+			workload, opts.sweepSizesMiB[0], largest, sc.CowFlatness[workload])
 	}
 	return sc, nil
 }

@@ -33,14 +33,12 @@
 // `-experiment crash` honors the same -json/-out/-minspeedup flags (artifact
 // BENCH_crash.json) and is sized with -crashops, -crashstride and
 // -crashworkers; it compares exhaustive serial re-execution with the
-// record-once parallel explorer — with and without its reducers, and over
-// the flat-table and deep-copy snapshot baselines, and with fork-parallel
-// segmented dispatch — and fails when any engine's failure set diverges
-// from the serial reference or the reducers do not check strictly fewer
-// images. The pool-size sweep (16→1024 MiB, deep-copy rows capped by
-// -sweepdeeplimit) feeds two soft gates: -mincowscale bounds the geomean
-// chunked-COW-over-deepcopy speedup from below, -maxsnapdecay bounds the
-// geomean decay of COW points/sec across the sweep from above. The segment
+// record-once parallel explorer — with and without its reducers, and with
+// fork-parallel segmented dispatch — and fails when any engine's failure
+// set diverges from the serial reference or the reducers do not check
+// strictly fewer images. The pool-size sweep (16→1024 MiB) feeds the soft
+// gate -maxsnapdecay, which bounds the geomean decay of points/sec across
+// the sweep from above. The segment
 // sweep (1/2/4/8 segments per workload) feeds -minsegscale, which bounds
 // the geomean images/sec speedup at 4 segments over 1 from below — only
 // meaningful on multi-core hosts (at one CPU the segments time-slice and
@@ -107,9 +105,7 @@ func main() {
 		crashOps   = flag.Int("crashops", 20, "crash: operations per crashed program")
 		crashStr   = flag.Int("crashstride", 3, "crash: event-boundary stride")
 		crashWrk   = flag.Int("crashworkers", 4, "crash: checker workers for the record-once engine")
-		minCow     = flag.Float64("mincowscale", 0, "crash: fail unless the geomean cow-over-deepcopy speedup at the largest deep-copy-swept size >= this")
 		maxDecay   = flag.Float64("maxsnapdecay", 0, "crash: fail if the geomean snapshot decay (cow points/sec, smallest over largest sweep size) exceeds this")
-		deepLimit  = flag.Int("sweepdeeplimit", 256, "crash: largest pool size (MiB) the deep-copy baseline is swept at (0 = all sizes)")
 		minSegScl  = flag.Float64("minsegscale", 0, "crash: fail unless the geomean images/sec speedup at 4 segments over 1 >= this (multi-core hosts)")
 		serveOps   = flag.Int("serveops", 2000, "serve: memslap operations per streaming client")
 		serveDrain = flag.String("servedrain", "lazy", "serve: session drain discipline, eager or lazy")
@@ -122,12 +118,11 @@ func main() {
 	pl := pipelineOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed,
 		minShardScale: *minShard, threads: *threads}
 	cr := crashOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed,
-		minCowScale: *minCow, maxSnapDecay: *maxDecay, minSegScale: *minSegScl,
+		maxSnapDecay: *maxDecay, minSegScale: *minSegScl,
 		ops: *crashOps, stride: *crashStr, workers: *crashWrk,
 		sweepSizesMiB: []int{16, 64, 256, 1024}, sweepPoints: 16,
-		sweepDeepLimitMiB: *deepLimit,
-		segCounts:         []int{1, 2, 4, 8}, segGate: 4,
-		workloads:         []string{"b_tree", "txpair", "redis"}}
+		segCounts: []int{1, 2, 4, 8}, segGate: 4,
+		workloads: []string{"b_tree", "txpair", "redis"}}
 	sv := serveOpts{json: *jsonOut, out: *outPath, minEventRate: *minEvRate,
 		opsPerClient: *serveOps, clients: []int{1, 2, 4, 8},
 		drain: *serveDrain, shards: *serveShard}

@@ -24,8 +24,8 @@ func TestRunExperiments(t *testing.T) {
 func TestCrashArtifact(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_crash.json")
 	cr := crashOpts{json: true, out: out, ops: 4, stride: 5, workers: 2,
-		workloads: []string{"b_tree", "txpair"},
-		sweepSizesMiB: []int{1, 2, 4}, sweepPoints: 3, sweepDeepLimitMiB: 2,
+		workloads:     []string{"b_tree", "txpair"},
+		sweepSizesMiB: []int{1, 2, 4}, sweepPoints: 3,
 		segCounts: []int{1, 2, 4}, segGate: 4}
 	if err := run("crash", 0, 0, 0, hotpathOpts{}, pipelineOpts{}, cr, serveOpts{}); err != nil {
 		t.Fatalf("crash: %v", err)
@@ -38,7 +38,7 @@ func TestCrashArtifact(t *testing.T) {
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if len(art.Results) != 6*len(art.ParallelSpeedups) ||
+	if len(art.Results) != 4*len(art.ParallelSpeedups) ||
 		art.GeomeanParallelSpeedup <= 0 || art.GeomeanReducedSpeedup <= 0 {
 		t.Fatalf("artifact incomplete: %+v", art)
 	}
@@ -58,35 +58,16 @@ func TestCrashArtifact(t *testing.T) {
 			t.Fatalf("%s serial row reports record-once phases: %+v", r.Workload, r)
 		}
 	}
-	// The sweep section: cow + flat rows per size per workload, deepcopy
-	// rows only at sizes within the deep-copy limit, with both gates'
-	// geomeans populated.
+	// The sweep section: one row per size per workload, with the decay
+	// gate's geomean populated.
 	if art.Scaling == nil {
 		t.Fatal("crash_image_scaling section missing")
 	}
-	deepSizes := 0
-	for _, mib := range cr.sweepSizesMiB {
-		if mib <= cr.sweepDeepLimitMiB {
-			deepSizes++
-		}
-	}
-	want := (2*len(cr.sweepSizesMiB) + deepSizes) * len(cr.workloads)
-	if len(art.Scaling.Results) != want {
+	if want := len(cr.sweepSizesMiB) * len(cr.workloads); len(art.Scaling.Results) != want {
 		t.Fatalf("scaling rows = %d, want %d", len(art.Scaling.Results), want)
 	}
-	for _, r := range art.Scaling.Results {
-		if r.Engine == "deepcopy" && r.PoolMiB > cr.sweepDeepLimitMiB {
-			t.Fatalf("deepcopy row above the sweep limit: %+v", r)
-		}
-	}
-	if art.Scaling.DeepCopyLimitMiB != 2 {
-		t.Fatalf("deepcopy limit = %d, want 2", art.Scaling.DeepCopyLimitMiB)
-	}
-	if art.Scaling.GeomeanCowSpeedupLargest <= 0 || art.Scaling.GeomeanSnapDecay <= 0 {
-		t.Fatalf("scaling geomeans missing: %+v", art.Scaling)
-	}
-	if len(art.Scaling.ChunkSpeedups) != len(cr.sweepSizesMiB)*len(cr.workloads) {
-		t.Fatalf("chunk speedups incomplete: %+v", art.Scaling.ChunkSpeedups)
+	if art.Scaling.GeomeanSnapDecay <= 0 || len(art.Scaling.SnapDecay) != len(cr.workloads) {
+		t.Fatalf("scaling summary incomplete: %+v", art.Scaling)
 	}
 	// The segment sweep: one row per (workload, segment count), counters
 	// invariant in the segment count, the gate geomean populated.

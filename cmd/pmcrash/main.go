@@ -36,25 +36,22 @@ func main() {
 		stride    = flag.Int("stride", 1, "test every Nth event boundary (1 = exhaustive)")
 		maxPoints = flag.Int("max", 0, "cap on crash points (0 = unlimited)")
 		policy    = flag.String("policy", "drop", "line persistence at the crash: drop, apply, random")
-		seeds     = flag.Int("seeds", 3, "seeds per crash point for -policy random")
+		seeds     = flag.Int("seeds", 3, "seeds per crash point for -policy random (at least 1)")
 		strictLog = flag.Bool("strictlog", false, "use the strict (drain-per-snapshot) undo log")
 		parallel  = flag.Int("parallel", 1, "checker workers for the record-once engine (0 = serial re-execution reference)")
 		prune     = flag.Bool("prune", false, "prune persistency-irrelevant crash points (record-once engine)")
 		dedup     = flag.Bool("dedup", false, "deduplicate identical crash images by content hash (record-once engine)")
-		deepCopy  = flag.Bool("deepcopy", false, "materialize crash images with private pages (O(pool) baseline) instead of copy-on-write")
-		flat      = flag.Bool("flat", false, "copy page tables at page granularity per image (O(table) baseline) instead of chunk-shared")
 		segments  = flag.Int("segments", 1, "fork-parallel dispatch segments for the record-once engine")
 	)
 	flag.Parse()
-	if err := run(*workload, *n, *stride, *maxPoints, *policy, *seeds, *strictLog, *parallel, *prune, *dedup, *deepCopy, *flat, *segments); err != nil {
+	if err := run(*workload, *n, *stride, *maxPoints, *policy, *seeds, *strictLog, *parallel, *prune, *dedup, *segments); err != nil {
 		fmt.Fprintln(os.Stderr, "pmcrash:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, n, stride, maxPoints int, policyName string, nseeds int, strictLog bool, parallel int, prune, dedup, deepCopy, flat bool, segments int) error {
-	cfg := crashtest.Config{PoolSize: 1 << 21, Stride: stride, MaxPoints: maxPoints,
-		DeepCopyImages: deepCopy, FlatTables: flat}
+func run(workload string, n, stride, maxPoints int, policyName string, nseeds int, strictLog bool, parallel int, prune, dedup bool, segments int) error {
+	cfg := crashtest.Config{PoolSize: 1 << 21, Stride: stride, MaxPoints: maxPoints}
 	switch policyName {
 	case "drop":
 		cfg.Policy = pmem.CrashDropPending
@@ -62,6 +59,9 @@ func run(workload string, n, stride, maxPoints int, policyName string, nseeds in
 		cfg.Policy = pmem.CrashApplyPending
 	case "random":
 		cfg.Policy = pmem.CrashRandomPending
+		if nseeds < 1 {
+			return fmt.Errorf("-seeds %d: -policy random needs at least one seed", nseeds)
+		}
 		for s := 1; s <= nseeds; s++ {
 			cfg.Seeds = append(cfg.Seeds, int64(s*7))
 		}
@@ -114,15 +114,8 @@ func run(workload string, n, stride, maxPoints int, policyName string, nseeds in
 			time.Duration(res.CheckNanos).Round(time.Microsecond))
 	}
 	if total := res.ZeroPages + res.SharedPages + res.PrivatePages; total > 0 {
-		engine := "chunked copy-on-write"
-		switch {
-		case deepCopy:
-			engine = "deep-copy"
-		case flat:
-			engine = "flat-table copy-on-write"
-		}
-		fmt.Printf("image pages (%s): %d zero, %d shared, %d private\n",
-			engine, res.ZeroPages, res.SharedPages, res.PrivatePages)
+		fmt.Printf("image pages: %d zero, %d shared, %d private\n",
+			res.ZeroPages, res.SharedPages, res.PrivatePages)
 	}
 	if len(res.Failures) == 0 {
 		fmt.Println("all recoveries consistent")

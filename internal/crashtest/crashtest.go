@@ -91,18 +91,6 @@ type Config struct {
 	// without being built. The reported failure set is identical to the
 	// exhaustive one.
 	Dedup bool
-	// DeepCopyImages materializes every crash image with fully private
-	// pages (pmem.Pool.SetCrashDeepCopy) instead of copy-on-write page
-	// sharing — the O(pool-size) baseline engine kept reachable for
-	// benchmarks and differential tests. Images are byte-identical either
-	// way.
-	DeepCopyImages bool
-	// FlatTables selects the flat-table snapshot engine
-	// (pmem.Pool.SetFlatTables): crash images copy page tables at page
-	// granularity instead of sharing whole table chunks — the
-	// O(table-length) pointer-cost baseline kept reachable for benchmarks
-	// and differential tests. Images are byte-identical either way.
-	FlatTables bool
 }
 
 func (c *Config) fill() {
@@ -225,8 +213,6 @@ func RunSerial(prog Program, check Checker, cfg Config) (*Result, error) {
 
 	// Full run: count events, sanity-check the checker on the final image.
 	full := pmem.New(cfg.PoolSize)
-	full.SetCrashDeepCopy(cfg.DeepCopyImages)
-	full.SetFlatTables(cfg.FlatTables)
 	if err := prog(full); err != nil {
 		return nil, fmt.Errorf("crashtest: program failed without crashes: %w", err)
 	}
@@ -274,8 +260,6 @@ func RunSerial(prog Program, check Checker, cfg Config) (*Result, error) {
 // reporting whether the trap fired.
 func runTrapped(prog Program, cfg *Config, n uint64) (pool *pmem.Pool, trapped bool, err error) {
 	pool = pmem.New(cfg.PoolSize)
-	pool.SetCrashDeepCopy(cfg.DeepCopyImages)
-	pool.SetFlatTables(cfg.FlatTables)
 	pool.SetCrashTrap(n)
 	defer func() {
 		if r := recover(); r != nil {

@@ -141,8 +141,6 @@ func Run(prog Program, check Checker, cfg Config) (*Result, error) {
 	{
 		start := time.Now()
 		rep := pmem.New(cfg.PoolSize)
-		rep.SetCrashDeepCopy(cfg.DeepCopyImages)
-		rep.SetFlatTables(cfg.FlatTables)
 		next := 0
 		for k := 0; k < nseg; k++ {
 			lo := k * len(points) / nseg
@@ -304,16 +302,17 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 	// key's image to, so both lookups make the same per-coordinate decisions
 	// fingerprinting every image would.
 	var hashes, memo map[[32]byte]*imageJob
-	var coins []*pmem.CrashCoins
-	var outcome pmem.CrashOutcome
 	if cfg.Dedup {
 		hashes = make(map[[32]byte]*imageJob)
 		memo = make(map[[32]byte]*imageJob)
-		coins = make([]*pmem.CrashCoins, len(seeds))
-		for si, seed := range seeds {
-			coins[si] = pmem.NewCrashCoins(seed)
-		}
 	}
+	// One coin sequence per seed for the whole segment: every image is
+	// SelectCrash followed by CrashWith, so no boundary reseeds a source.
+	coins := make([]*pmem.CrashCoins, len(seeds))
+	for si, seed := range seeds {
+		coins[si] = pmem.NewCrashCoins(seed)
+	}
+	var outcome pmem.CrashOutcome
 	reuse := func(jb *imageJob, point uint64, si int) {
 		s.dedup++
 		jb.refs = append(jb.refs, pointRef{point: point, seedIdx: si})
@@ -366,12 +365,11 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 			shadowFP = shadow.Fingerprint()
 			s.fpNanos += time.Since(start).Nanoseconds()
 		}
-		for si, seed := range seeds {
-			var img *pmem.Pool
+		for si := range seeds {
+			start := time.Now()
+			shadow.SelectCrash(cfg.Policy, coins[si], &outcome)
 			var key [32]byte
 			if cfg.Dedup {
-				start := time.Now()
-				shadow.SelectCrash(cfg.Policy, coins[si], &outcome)
 				key = outcome.Key(shadowFP)
 				s.fpNanos += time.Since(start).Nanoseconds()
 				if jb, ok := memo[key]; ok {
@@ -379,13 +377,9 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 					continue
 				}
 				start = time.Now()
-				img = shadow.CrashWith(&outcome)
-				s.snapNanos += time.Since(start).Nanoseconds()
-			} else {
-				start := time.Now()
-				img = shadow.Crash(cfg.Policy, seed)
-				s.snapNanos += time.Since(start).Nanoseconds()
 			}
+			img := shadow.CrashWith(&outcome)
+			s.snapNanos += time.Since(start).Nanoseconds()
 			var fp [32]byte
 			if cfg.Dedup {
 				start := time.Now()

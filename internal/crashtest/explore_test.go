@@ -124,6 +124,11 @@ func TestExploreMatchesSerial(t *testing.T) {
 			if !variant.prune && !variant.dedup && got.Images != ref.Images {
 				t.Errorf("policy %v plain: %d images, reference %d", cfg.Policy, got.Images, ref.Images)
 			}
+			// Copy-on-write images of a sparse pool are dominated by zero
+			// and shared pages.
+			if got.Images > 0 && got.ZeroPages+got.SharedPages == 0 {
+				t.Errorf("policy %v %s: images report no zero or shared pages", cfg.Policy, variant.name)
+			}
 		}
 	}
 }

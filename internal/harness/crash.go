@@ -39,10 +39,9 @@ type CrashResult struct {
 
 // crashEngines are the measured configurations: the exhaustive re-execution
 // reference, the record-once engine with a worker pool, the same engine with
-// both reducers on, the reducer engine over the two baseline snapshot models
-// (flat page tables and deep-copy images), and the reducer engine with
-// fork-parallel segment dispatch. New rows must be appended at the end:
-// cmd/pmbench indexes the returned slice positionally.
+// both reducers on, and the reducer engine with fork-parallel segment
+// dispatch. New rows must be appended at the end: cmd/pmbench indexes the
+// returned slice positionally.
 func crashEngines(workers int) []struct {
 	name string
 	cfg  func(crashtest.Config) crashtest.Config
@@ -62,20 +61,6 @@ func crashEngines(workers int) []struct {
 			c.Workers = workers
 			c.Prune = true
 			c.Dedup = true
-			return c
-		}, crashtest.Run},
-		{"flat+reducers", func(c crashtest.Config) crashtest.Config {
-			c.Workers = workers
-			c.Prune = true
-			c.Dedup = true
-			c.FlatTables = true
-			return c
-		}, crashtest.Run},
-		{"deepcopy+reducers", func(c crashtest.Config) crashtest.Config {
-			c.Workers = workers
-			c.Prune = true
-			c.Dedup = true
-			c.DeepCopyImages = true
 			return c
 		}, crashtest.Run},
 		{"segmented+reducers", func(c crashtest.Config) crashtest.Config {
@@ -162,18 +147,13 @@ func MeasureCrash(workload string, n, stride, workers int) ([]CrashResult, error
 	return out, nil
 }
 
-// CrashScalingPoint is one (pool size, engine) cell of the crash-image
-// scaling sweep: the same workload, op count and crash points explored at a
-// growing pool size under chunk-shared copy-on-write snapshots ("cow"), the
-// flat-table baseline ("flat": pages shared but table pointers copied per
-// image, O(table length)) and the deep-copy baseline ("deepcopy", O(pool
-// size) bytes per image). COW cost is O(dirty) in both bytes and table
-// slots, so its points/sec should stay near-flat across the sweep while the
-// two baselines fall off.
+// CrashScalingPoint is one pool-size cell of the crash-image scaling sweep:
+// the same workload, op count and crash points explored at a growing pool
+// size. Image cost is O(dirty) in both bytes and table slots, so points/sec
+// should stay near-flat across the sweep.
 type CrashScalingPoint struct {
 	Workload     string  `json:"workload"`
 	PoolMiB      int     `json:"pool_mib"`
-	Engine       string  `json:"engine"` // "cow", "flat" or "deepcopy"
 	Nanos        int64   `json:"nanos"`
 	Points       int     `json:"points"`
 	Images       int     `json:"images_checked"`
@@ -184,76 +164,55 @@ type CrashScalingPoint struct {
 }
 
 // MeasureCrashScaling runs the pool-size sweep for one workload: for each
-// size it first verifies that the chunked COW engine, the flat-table engine,
-// the deep-copy engine and the exhaustive serial reference agree on the
-// failure set, then times the record-once engines (min of Repeats, all with
-// the reducers on — the benchmark configuration). The op count and
-// crash-point cap are fixed across sizes, so the only variable is how much
-// pool each image spans. Deep-copy rows stop above deepLimitMiB (0 = no
-// limit): the O(pool) baseline at gigabyte pools costs seconds per image and
-// would dominate the sweep's wall clock without adding information.
-func MeasureCrashScaling(workload string, n, stride, workers, maxPoints int, sizesMiB []int, deepLimitMiB int) ([]CrashScalingPoint, error) {
+// size it first verifies that the record-once engine (reducers on, the
+// benchmark configuration) and the exhaustive serial reference agree on the
+// failure set, then times the record-once engine (min of Repeats). The op
+// count and crash-point cap are fixed across sizes, so the only variable is
+// how much pool each image spans.
+func MeasureCrashScaling(workload string, n, stride, workers, maxPoints int, sizesMiB []int) ([]CrashScalingPoint, error) {
 	prog, check, err := scenarios.Build(workload, n, false)
 	if err != nil {
 		return nil, err
 	}
 	var out []CrashScalingPoint
 	for _, mib := range sizesMiB {
-		base := crashtest.Config{
+		cfg := crashtest.Config{
 			PoolSize: uint64(mib) << 20, Stride: stride, MaxPoints: maxPoints,
 			Workers: workers, Prune: true, Dedup: true,
 		}
-		flatCfg := base
-		flatCfg.FlatTables = true
-		deepCfg := base
-		deepCfg.DeepCopyImages = true
-
-		serial, err := crashtest.RunSerial(prog, check, base)
+		serial, err := crashtest.RunSerial(prog, check, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("crash scaling %s/%dMiB serial: %w", workload, mib, err)
 		}
-		engines := []struct {
-			name string
-			cfg  crashtest.Config
-		}{{"cow", base}, {"flat", flatCfg}}
-		if deepLimitMiB <= 0 || mib <= deepLimitMiB {
-			engines = append(engines, struct {
-				name string
-				cfg  crashtest.Config
-			}{"deepcopy", deepCfg})
+		res, err := crashtest.Run(prog, check, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("crash scaling %s/%dMiB: %w", workload, mib, err)
 		}
-		for _, eng := range engines {
-			res, err := crashtest.Run(prog, check, eng.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("crash scaling %s/%dMiB %s: %w", workload, mib, eng.name, err)
-			}
-			if !reflect.DeepEqual(res.FailureKeys(), serial.FailureKeys()) {
-				return nil, fmt.Errorf("crash scaling %s/%dMiB: %s failure set diverges from serial\n %s: %v\n serial: %v",
-					workload, mib, eng.name, eng.name, res.FailureKeys(), serial.FailureKeys())
-			}
-			best := time.Duration(0)
-			for r := 0; r < Repeats; r++ {
-				start := time.Now()
-				if _, err := crashtest.Run(prog, check, eng.cfg); err != nil {
-					return nil, err
-				}
-				if d := time.Since(start); best == 0 || d < best {
-					best = d
-				}
-			}
-			out = append(out, CrashScalingPoint{
-				Workload:     workload,
-				PoolMiB:      mib,
-				Engine:       eng.name,
-				Nanos:        best.Nanoseconds(),
-				Points:       res.Points,
-				Images:       res.Images,
-				PointsPerSec: float64(res.Points) / best.Seconds(),
-				ZeroPages:    res.ZeroPages,
-				SharedPages:  res.SharedPages,
-				PrivatePages: res.PrivatePages,
-			})
+		if !reflect.DeepEqual(res.FailureKeys(), serial.FailureKeys()) {
+			return nil, fmt.Errorf("crash scaling %s/%dMiB: failure set diverges from serial\n got: %v\n serial: %v",
+				workload, mib, res.FailureKeys(), serial.FailureKeys())
 		}
+		best := time.Duration(0)
+		for r := 0; r < Repeats; r++ {
+			start := time.Now()
+			if _, err := crashtest.Run(prog, check, cfg); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
+		}
+		out = append(out, CrashScalingPoint{
+			Workload:     workload,
+			PoolMiB:      mib,
+			Nanos:        best.Nanoseconds(),
+			Points:       res.Points,
+			Images:       res.Images,
+			PointsPerSec: float64(res.Points) / best.Seconds(),
+			ZeroPages:    res.ZeroPages,
+			SharedPages:  res.SharedPages,
+			PrivatePages: res.PrivatePages,
+		})
 	}
 	return out, nil
 }

@@ -154,132 +154,75 @@ func TestRecycledChunkCleanliness(t *testing.T) {
 	}
 }
 
-// TestFlatTablesIsolation mirrors the mutation-isolation contract under the
-// flat-table engine: images stay frozen against parent writes and vice
-// versa, flat images share no chunks (pages only), and RegisterNamed on an
-// image still invalidates its fingerprint caches.
-func TestFlatTablesIsolation(t *testing.T) {
-	p := New(1 << 22)
-	p.SetFlatTables(true)
-	c := p.Ctx()
-	a := p.Base() + chunkSpan + 4096
-	persist(c, a, []byte("original payload"))
-
-	snap := p.Crash(CrashDropPending, 0)
-	for ci := range snap.persist {
-		if snap.persist[ci] != nil && snap.persist[ci] == p.persist[ci] {
-			t.Fatal("flat-table image shares a chunk with its parent")
-		}
-		if snap.persist[ci] != nil && atomic.LoadInt32(&snap.persist[ci].refs) != 1 {
-			t.Fatal("flat-table image chunk is shared")
-		}
-	}
-	snapFP := snap.Fingerprint()
-
-	persist(c, a, []byte("parent overwrite"))
-	if !snap.PersistedEquals(a, []byte("original payload")) {
-		t.Fatal("parent write leaked into the flat-table image")
-	}
-	if snap.Fingerprint() != snapFP {
-		t.Fatal("parent write changed the flat-table image fingerprint")
-	}
-
-	persist(snap.Ctx(), a, []byte("snapshotoverride"))
-	if !p.PersistedEquals(a, []byte("parent overwrite")) {
-		t.Fatal("image write leaked into the parent")
-	}
-
-	fpBefore := snap.Fingerprint()
-	snap.RegisterNamed("recovered_root", snap.Base(), 64)
-	if snap.Fingerprint() == fpBefore {
-		t.Fatal("RegisterNamed did not invalidate the image fingerprint")
-	}
-	snap.Release()
-}
-
 // TestPageStatsCountersMatchScan asserts the O(1) PageStats counters
 // against the structural scan: exactly in every phase where the counters
 // are defined to be exact (a pool's own operations, both sides of a fresh
-// crash, image-local writes, deep-copy images), and by the conservative
-// invariants (zero exact, sum exact, shared never under-reported) once a
-// related pool has written.
+// crash or fork, image-local writes), and by the conservative invariants
+// (zero exact, sum exact, shared never under-reported) once a related pool
+// has written.
 func TestPageStatsCountersMatchScan(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		name := "chunked"
-		if flat {
-			name = "flat"
+	const size = 1 << 23 // 4 chunks, 2048 pages
+	exact := func(pool *Pool, stage string) {
+		t.Helper()
+		z, s, pr := pool.PageStats()
+		sz, ss, sp := pool.scanPageStats()
+		if z != sz || s != ss || pr != sp {
+			t.Fatalf("%s: counters (%d,%d,%d) != scan (%d,%d,%d)",
+				stage, z, s, pr, sz, ss, sp)
 		}
-		t.Run(name, func(t *testing.T) {
-			const size = 1 << 23 // 4 chunks, 2048 pages
-			exact := func(pool *Pool, stage string) {
-				t.Helper()
-				z, s, pr := pool.PageStats()
-				sz, ss, sp := pool.scanPageStats()
-				if z != sz || s != ss || pr != sp {
-					t.Fatalf("%s: counters (%d,%d,%d) != scan (%d,%d,%d)",
-						stage, z, s, pr, sz, ss, sp)
-				}
-			}
-			p := New(size)
-			p.SetFlatTables(flat)
-			c := p.Ctx()
-			rng := rand.New(rand.NewSource(17))
-			for i := 0; i < 40; i++ {
-				off := uint64(rng.Intn(size - 4096))
-				persist(c, p.Base()+off, bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(600)))
-				exact(p, "single-pool op")
-			}
-			// Leave some lines pending so the apply policy duplicates chunks
-			// inside Crash.
-			c.StoreBytes(p.Base()+uint64(rng.Intn(size-64)), bytes.Repeat([]byte{0x7f}, 64))
-			c.Flush(p.Base(), 64)
-
-			snap := p.Crash(CrashApplyPending, 0)
-			exact(p, "parent after crash")
-			exact(snap, "fresh image")
-			z, s, pr := snap.PageStats()
-			if z+s+pr != snap.npages {
-				t.Fatalf("image counters sum %d, want %d", z+s+pr, snap.npages)
-			}
-			if pr != 0 {
-				t.Fatalf("fresh image reports %d private pages", pr)
-			}
-
-			// The image's own writes keep its counters exact.
-			sc := snap.Ctx()
-			for i := 0; i < 20; i++ {
-				off := uint64(rng.Intn(size - 4096))
-				persist(sc, snap.Base()+off, bytes.Repeat([]byte{0xee}, 1+rng.Intn(300)))
-				exact(snap, "image op")
-			}
-
-			// After the image unshared chunks, the parent's counters may
-			// over-report sharing but never under-report it, and the zero
-			// count stays exact.
-			persist(c, p.Base()+128, bytes.Repeat([]byte{0x21}, 64))
-			z, s, pr = p.PageStats()
-			sz, ss, sp := p.scanPageStats()
-			if z != sz {
-				t.Fatalf("parent zero count %d != scan %d", z, sz)
-			}
-			if s+pr != ss+sp {
-				t.Fatalf("parent materialized count %d != scan %d", s+pr, ss+sp)
-			}
-			if s < ss {
-				t.Fatalf("parent counters under-report shared: %d < scan %d", s, ss)
-			}
-
-			// Deep-copy images are exact by construction: everything private.
-			p.SetCrashDeepCopy(true)
-			deep := p.Crash(CrashDropPending, 0)
-			exact(deep, "deep image")
-			if z, s, pr = deep.PageStats(); z != 0 || s != 0 || pr != deep.npages {
-				t.Fatalf("deep image stats (%d,%d,%d), want (0,0,%d)", z, s, pr, deep.npages)
-			}
-			deep.Release()
-			snap.Release()
-		})
 	}
+	p := New(size)
+	c := p.Ctx()
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 40; i++ {
+		off := uint64(rng.Intn(size - 4096))
+		persist(c, p.Base()+off, bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(600)))
+		exact(p, "single-pool op")
+	}
+	// Leave some lines pending so the apply policy duplicates chunks
+	// inside Crash.
+	c.StoreBytes(p.Base()+uint64(rng.Intn(size-64)), bytes.Repeat([]byte{0x7f}, 64))
+	c.Flush(p.Base(), 64)
+
+	snap := p.Crash(CrashApplyPending, 0)
+	exact(p, "parent after crash")
+	exact(snap, "fresh image")
+	z, s, pr := snap.PageStats()
+	if z+s+pr != snap.npages {
+		t.Fatalf("image counters sum %d, want %d", z+s+pr, snap.npages)
+	}
+	if pr != 0 {
+		t.Fatalf("fresh image reports %d private pages", pr)
+	}
+	fork := p.Fork()
+	exact(p, "parent after fork")
+	exact(fork, "fresh fork")
+	fork.Release()
+
+	// The image's own writes keep its counters exact.
+	sc := snap.Ctx()
+	for i := 0; i < 20; i++ {
+		off := uint64(rng.Intn(size - 4096))
+		persist(sc, snap.Base()+off, bytes.Repeat([]byte{0xee}, 1+rng.Intn(300)))
+		exact(snap, "image op")
+	}
+
+	// After the image unshared chunks, the parent's counters may
+	// over-report sharing but never under-report it, and the zero
+	// count stays exact.
+	persist(c, p.Base()+128, bytes.Repeat([]byte{0x21}, 64))
+	z, s, pr = p.PageStats()
+	sz, ss, sp := p.scanPageStats()
+	if z != sz {
+		t.Fatalf("parent zero count %d != scan %d", z, sz)
+	}
+	if s+pr != ss+sp {
+		t.Fatalf("parent materialized count %d != scan %d", s+pr, ss+sp)
+	}
+	if s < ss {
+		t.Fatalf("parent counters under-report shared: %d < scan %d", s, ss)
+	}
+	snap.Release()
 }
 
 // TestConcurrentSnapshotChunkWrites is the -race exercise for the chunk
@@ -290,61 +233,58 @@ func TestPageStatsCountersMatchScan(t *testing.T) {
 func TestConcurrentSnapshotChunkWrites(t *testing.T) {
 	const size = 1 << 23
 	const regions = 16
-	for _, flat := range []bool{false, true} {
-		p := New(size)
-		p.SetFlatTables(flat)
-		c := p.Ctx()
-		for i := 0; i < regions; i++ {
-			persist(c, p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0x11}, 256))
-		}
-		snaps := make([]*Pool, 4)
-		for i := range snaps {
-			snaps[i] = p.Crash(CrashDropPending, 0)
-		}
-		var wg sync.WaitGroup
-		for id, s := range snaps {
-			wg.Add(1)
-			go func(id byte, s *Pool) {
-				defer wg.Done()
-				sc := s.Ctx()
-				for i := 0; i < regions; i++ {
-					persist(sc, s.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0x40 + id}, 128))
-				}
-				s.Fingerprint()
-			}(byte(id), s)
-		}
+	p := New(size)
+	c := p.Ctx()
+	for i := 0; i < regions; i++ {
+		persist(c, p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0x11}, 256))
+	}
+	snaps := make([]*Pool, 4)
+	for i := range snaps {
+		snaps[i] = p.Crash(CrashDropPending, 0)
+	}
+	var wg sync.WaitGroup
+	for id, s := range snaps {
 		wg.Add(1)
-		go func() {
+		go func(id byte, s *Pool) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				p.Crash(CrashDropPending, 0).Release()
-			}
-		}()
-		for i := 0; i < regions; i++ {
-			persist(c, p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0xaa}, 128))
-		}
-		wg.Wait()
-		for id, s := range snaps {
+			sc := s.Ctx()
 			for i := 0; i < regions; i++ {
-				addr := s.Base() + uint64(i)*(size/regions)
-				if !s.PersistedEquals(addr, bytes.Repeat([]byte{byte(0x40 + id)}, 128)) {
-					t.Fatalf("flat=%v: snapshot %d region %d lost its write", flat, id, i)
-				}
+				persist(sc, s.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0x40 + id}, 128))
 			}
-			s.Release()
+			s.Fingerprint()
+		}(byte(id), s)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			p.Crash(CrashDropPending, 0).Release()
 		}
+	}()
+	for i := 0; i < regions; i++ {
+		persist(c, p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0xaa}, 128))
+	}
+	wg.Wait()
+	for id, s := range snaps {
 		for i := 0; i < regions; i++ {
-			if !p.PersistedEquals(p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0xaa}, 128)) {
-				t.Fatalf("flat=%v: parent region %d lost its write", flat, i)
+			addr := s.Base() + uint64(i)*(size/regions)
+			if !s.PersistedEquals(addr, bytes.Repeat([]byte{byte(0x40 + id)}, 128)) {
+				t.Fatalf("snapshot %d region %d lost its write", id, i)
 			}
+		}
+		s.Release()
+	}
+	for i := 0; i < regions; i++ {
+		if !p.PersistedEquals(p.Base()+uint64(i)*(size/regions), bytes.Repeat([]byte{0xaa}, 128)) {
+			t.Fatalf("parent region %d lost its write", i)
 		}
 	}
 }
 
 // TestPartialTailChunk covers a pool whose last chunk is only partially
 // populated (size not a multiple of the chunk span): fingerprints, crash
-// images, deep-copy materialization and image serialization must all bound
-// their walks by the page count, not the directory capacity.
+// images and image serialization must all bound their walks by the page
+// count, not the directory capacity.
 func TestPartialTailChunk(t *testing.T) {
 	size := uint64(2*chunkSpan + 96*1024) // 2 full chunks + 24-page tail
 	p := New(size)
@@ -364,16 +304,6 @@ func TestPartialTailChunk(t *testing.T) {
 	}
 	snap.Release()
 
-	p.SetCrashDeepCopy(true)
-	deep := p.Crash(CrashDropPending, 0)
-	if deep.Fingerprint() != fp {
-		t.Fatal("deep-copy fingerprint differs in the tail-chunk pool")
-	}
-	if z, s, pr := deep.PageStats(); z != 0 || s != 0 || pr != deep.npages {
-		t.Fatalf("deep tail-chunk stats (%d,%d,%d), want (0,0,%d)", z, s, pr, deep.npages)
-	}
-	deep.Release()
-
 	var buf bytes.Buffer
 	if err := p.WriteImage(&buf); err != nil {
 		t.Fatal(err)
@@ -391,60 +321,4 @@ func TestPartialTailChunk(t *testing.T) {
 	}() {
 		t.Fatal("ReadImage counters diverge from the scan")
 	}
-}
-
-// FuzzChunkedVsFlat feeds a random store/flush/fence program spanning
-// several chunks to two identical pools — one taking chunk-shared
-// snapshots, one flat-table snapshots — and checks the images agree byte
-// for byte under all three pending-line policies, including a second
-// crash generation taken after writing into the first images (the
-// shared-chunk write path).
-func FuzzChunkedVsFlat(f *testing.F) {
-	f.Add([]byte{0x01, 0x40, 0x02, 0x03, 0x01, 0x00})
-	f.Add([]byte{0x01, 0x10, 0x00, 0xfe, 0x02, 0x01, 0x55, 0x02, 0x03, 0x80})
-	f.Add(bytes.Repeat([]byte{0x00, 0xf0, 0x01, 0x20, 0x02, 0x03}, 12))
-	f.Fuzz(func(t *testing.T, program []byte) {
-		const size = 1 << 23 // 4 chunks
-		chunked := New(size)
-		flat := New(size)
-		flat.SetFlatTables(true)
-		run := func(p *Pool) {
-			c := p.Ctx()
-			for i := 0; i+1 < len(program); i += 2 {
-				op, arg := program[i], uint64(program[i+1])
-				addr := p.Base() + (arg*65539)%(size-600)
-				switch op % 4 {
-				case 0:
-					c.Store64(addr, arg*0x9e3779b97f4a7c15)
-				case 1:
-					c.StoreBytes(addr, bytes.Repeat([]byte{byte(arg)}, 1+int(arg%300)))
-				case 2:
-					c.Flush(addr&^63, 64)
-				case 3:
-					c.Fence()
-				}
-			}
-		}
-		run(chunked)
-		run(flat)
-		for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
-			ci := chunked.Crash(policy, 42)
-			fi := flat.Crash(policy, 42)
-			if ci.Fingerprint() != fi.Fingerprint() {
-				t.Fatalf("policy %d: chunked and flat crash images differ", policy)
-			}
-			// Write into both images identically and crash again: the
-			// second generation exercises writes into shared chunks.
-			persist(ci.Ctx(), ci.Base()+chunkSpan-64, bytes.Repeat([]byte{0x99}, 128))
-			persist(fi.Ctx(), fi.Base()+chunkSpan-64, bytes.Repeat([]byte{0x99}, 128))
-			ci2 := ci.Crash(CrashDropPending, 0)
-			fi2 := fi.Crash(CrashDropPending, 0)
-			if ci2.Fingerprint() != fi2.Fingerprint() {
-				t.Fatalf("policy %d: second-generation images differ", policy)
-			}
-			for _, img := range []*Pool{ci2, fi2, ci, fi} {
-				img.Release()
-			}
-		}
-	})
 }

@@ -202,8 +202,9 @@ func TestLineCountersMatchScan(t *testing.T) {
 
 // TestIncrementalFingerprintMatchesFresh: a pool that computed fingerprints
 // after every mutation (hot caches) must report the same final fingerprint
-// as a twin pool hashing everything once from scratch, and the same as a
-// deep-copy snapshot that carries no caches at all.
+// as a twin pool hashing everything once from scratch, and the same as its
+// own image read back through WriteImage/ReadImage, which carries no caches
+// at all.
 func TestIncrementalFingerprintMatchesFresh(t *testing.T) {
 	ops := func(p *Pool, fingerprintEachStep bool) {
 		c := p.Ctx()
@@ -226,10 +227,16 @@ func TestIncrementalFingerprintMatchesFresh(t *testing.T) {
 	if hot.Fingerprint() != cold.Fingerprint() {
 		t.Fatal("incrementally maintained fingerprint differs from fresh recompute")
 	}
-	hot.SetCrashDeepCopy(true)
-	deep := hot.Crash(CrashDropPending, 0)
-	if deep.Fingerprint() != cold.Fingerprint() {
-		t.Fatal("deep-copy snapshot (no caches) fingerprint differs")
+	var buf bytes.Buffer
+	if err := hot.WriteImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := ReadImage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Fingerprint() != cold.Fingerprint() {
+		t.Fatal("fingerprint of the re-read image (no caches) differs")
 	}
 }
 
@@ -292,51 +299,4 @@ func TestConcurrentParentSnapshotWrites(t *testing.T) {
 	if p.Fingerprint() == ([32]byte{}) {
 		t.Fatal("parent unusable after concurrent snapshots")
 	}
-}
-
-// FuzzCOWvsDeepCrash feeds a random store/flush/fence program to two
-// identical pools and checks that a copy-on-write crash image and a
-// deep-copy crash image agree byte for byte (fingerprint and raw bytes)
-// under all three pending-line policies.
-func FuzzCOWvsDeepCrash(f *testing.F) {
-	f.Add([]byte{0x01, 0x40, 0x02, 0x03, 0x01, 0x00})
-	f.Add([]byte{0x01, 0x10, 0x01, 0x90, 0x02, 0x01, 0x55, 0x02})
-	f.Add(bytes.Repeat([]byte{0x01, 0x20, 0x02, 0x03}, 16))
-	f.Fuzz(func(t *testing.T, program []byte) {
-		const size = 1 << 18
-		cow := New(size)
-		deep := New(size)
-		deep.SetCrashDeepCopy(true)
-		run := func(p *Pool) {
-			c := p.Ctx()
-			for i := 0; i+1 < len(program); i += 2 {
-				op, arg := program[i], uint64(program[i+1])
-				addr := p.Base() + (arg*1021)%(size-512)
-				switch op % 4 {
-				case 0:
-					c.Store64(addr, arg*0x9e3779b97f4a7c15)
-				case 1:
-					c.StoreBytes(addr, bytes.Repeat([]byte{byte(arg)}, 1+int(arg%300)))
-				case 2:
-					c.Flush(addr&^63, 64)
-				case 3:
-					c.Fence()
-				}
-			}
-		}
-		run(cow)
-		run(deep)
-		for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
-			ci := cow.Crash(policy, 99)
-			di := deep.Crash(policy, 99)
-			if ci.Fingerprint() != di.Fingerprint() {
-				t.Fatalf("policy %d: COW and deep-copy crash images differ", policy)
-			}
-			if !bytes.Equal(ci.PersistedBytes(ci.Base(), 4096), di.PersistedBytes(di.Base(), 4096)) {
-				t.Fatalf("policy %d: first page bytes differ", policy)
-			}
-			ci.Release()
-			di.Release()
-		}
-	})
 }

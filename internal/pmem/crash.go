@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pmdebugger/internal/intervals"
 )
@@ -29,32 +28,6 @@ const (
 	// intermediate outcomes.
 	CrashRandomPending
 )
-
-// SetCrashDeepCopy selects the deep-copy crash-image baseline: Crash
-// materializes every page of the snapshot privately (including zero pages),
-// restoring the O(pool) cost model of the pre-COW engine, and snapshots
-// carry no inherited hash caches, so their fingerprints rehash the whole
-// image. Images are byte-identical to copy-on-write snapshots; the knob
-// exists so benchmarks and differential tests keep the baseline reachable.
-func (p *Pool) SetCrashDeepCopy(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.deepCopyCrash = v
-}
-
-// SetFlatTables selects the flat-table snapshot engine: Crash copies the
-// page tables at page granularity — a fresh private chunk per directory
-// slot with every page retained individually — instead of sharing whole
-// chunks, restoring the O(table length) per-snapshot pointer cost of the
-// page-granular engine that predates chunked tables (bytes stay O(dirty)).
-// Images are byte-identical to chunk-shared snapshots; the knob exists so
-// benchmarks and differential tests keep the baseline reachable, mirroring
-// SetCrashDeepCopy. Like deep copy, the flag is not inherited by snapshots.
-func (p *Pool) SetFlatTables(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.flatTables = v
-}
 
 // CrashCoins is one seed's CrashRandomPending coin sequence, drawn lazily
 // and kept: coin i decides the fate of the i-th pending line in ascending
@@ -229,54 +202,9 @@ func (p *Pool) selectCrashLocked(policy CrashPolicy, coins *CrashCoins, o *Crash
 }
 
 // crashWithLocked is CrashWith under p.mu: the one materialization path of
-// every crash image, for the chunked, flat-table and deep-copy engines.
+// every crash image.
 func (p *Pool) crashWithLocked(o *CrashOutcome) *Pool {
-	nc := len(p.persist)
-	tables := newTables(nc)
-	n := &Pool{
-		base:     p.base,
-		size:     p.size,
-		volatile: tables.volatile,
-		persist:  tables.persist,
-		muts:     tables.muts,
-		npages:   p.npages,
-		names:    make(map[string]intervals.Range, len(p.names)),
-	}
-	if p.flatTables {
-		// Flat-table engine: page-granular sharing only. Every directory
-		// slot gets a fresh private chunk retaining the parent's pages one
-		// by one, so the snapshot pays the O(table length) pointer walk the
-		// chunked engine removes.
-		for ci, ch := range p.persist {
-			if ch != nil {
-				n.persist[ci] = newChunkCopy(ch)
-			}
-		}
-	} else {
-		copy(n.persist, p.persist)
-		for _, ch := range n.persist {
-			if ch != nil {
-				ch.retain()
-			}
-		}
-	}
-	// PageStats handoff: sharing the tables turns every materialized page
-	// — parent's and snapshot's alike — into a shared page; zero spans stay
-	// zero on both sides. Both counters are exact at this point.
-	n.pageZero = p.pageZero
-	n.pageShared = p.pageShared + p.pagePrivate
-	p.pageShared, p.pagePrivate = n.pageShared, 0
-	// Hand the fingerprint group caches down: shared pages have identical
-	// content, and the pending-line application below invalidates the
-	// groups it touches through persistWritable.
-	if p.groupOK != nil {
-		n.groupHash = append([][32]byte(nil), p.groupHash...)
-		n.groupOK = append([]bool(nil), p.groupOK...)
-	}
-	if p.superOK != nil {
-		n.superHash = append([][32]byte(nil), p.superHash...)
-		n.superOK = append([]bool(nil), p.superOK...)
-	}
+	n := p.cloneLocked()
 
 	// Apply the outcome's lines; only their chunks and pages are
 	// duplicated.
@@ -287,77 +215,61 @@ func (p *Pool) crashWithLocked(o *CrashOutcome) *Pool {
 		copy(pg.data[lo:lo+LineSize], staged)
 	}
 
-	// The snapshot's volatile image aliases its persistent image — the
-	// state of a freshly opened pool — and unshares on demand when
-	// recovery code stores to it. Chunked sharing aliases the directories
-	// chunk for chunk; the flat engine copies them page for page.
-	if p.flatTables {
-		for ci, ch := range n.persist {
-			if ch != nil {
-				n.volatile[ci] = newChunkCopy(ch)
-			}
-		}
-	} else {
-		copy(n.volatile, n.persist)
-		for _, ch := range n.volatile {
-			if ch != nil {
-				ch.retain()
-			}
-		}
-	}
-	// Volatile aliasing re-shares whatever the pending-line application
-	// just privatized, so a fresh image's materialized pages are all
-	// shared.
+	// The image's volatile image aliases its persistent image — the state of
+	// a freshly opened pool — and unshares on demand when recovery code
+	// stores to it. That re-shares whatever the outcome's lines just
+	// privatized, so a fresh image's materialized pages are all shared.
+	shareChunks(n.volatile, n.persist)
 	n.pageShared += n.pagePrivate
 	n.pagePrivate = 0
+	n.alloc.init(n.base, n.size)
+	return n
+}
 
-	// Preserve the named-variable registry: names model program symbols,
-	// which survive restart. The caches ride along.
+// cloneLocked returns a new pool whose persistent image shares p's chunk
+// for chunk — the part of the work Crash and Fork have in common. It
+// allocates the new pool's root directories, retains p's persistent chunks
+// into one of them, hands down the PageStats composition, the warm Merkle
+// caches and the named-region table, and leaves the volatile image, the
+// mut table, the line state and the allocator empty for the caller to fill.
+// Callers hold p.mu.
+func (p *Pool) cloneLocked() *Pool {
+	tables := newTables(len(p.persist))
+	n := &Pool{
+		base:     p.base,
+		size:     p.size,
+		volatile: tables.volatile,
+		persist:  tables.persist,
+		muts:     tables.muts,
+		npages:   p.npages,
+		names:    make(map[string]intervals.Range, len(p.names)),
+	}
+	shareChunks(n.persist, p.persist)
+	// PageStats handoff: sharing the persistent table turns every
+	// materialized page — parent's and clone's alike — into a shared page;
+	// zero spans stay zero on both sides. Both counters are exact here.
+	n.pageZero = p.pageZero
+	n.pageShared = p.pageShared + p.pagePrivate
+	p.pageShared, p.pagePrivate = n.pageShared, 0
+	// The fingerprint caches ride along: shared pages have identical
+	// content, and persistWritable invalidates the covering entries on
+	// either side's later writes.
+	if p.groupOK != nil {
+		n.groupHash = append([][32]byte(nil), p.groupHash...)
+		n.groupOK = append([]bool(nil), p.groupOK...)
+	}
+	if p.superOK != nil {
+		n.superHash = append([][32]byte(nil), p.superHash...)
+		n.superOK = append([]bool(nil), p.superOK...)
+	}
+	// Names model program symbols, which survive restart. Their caches
+	// ride along too.
 	for name, r := range p.names {
 		n.names[name] = r
 	}
 	n.sortedNames = p.sortedNames
 	n.namesHash, n.namesHashOK = p.namesHash, p.namesHashOK
-
-	n.alloc.init(n.base, n.size)
-
-	if p.deepCopyCrash {
-		n.materializeAllLocked()
-	}
 	return n
-}
-
-// materializeAllLocked turns every page of both images into a private copy
-// (zero pages included) and drops the inherited hash caches — the deep-copy
-// baseline Crash produces under SetCrashDeepCopy. Callers hold the pool's
-// mutex or exclusive ownership.
-func (p *Pool) materializeAllLocked() {
-	for _, table := range [][]*pageChunk{p.persist, p.volatile} {
-		for ci := range table {
-			ch := writableChunk(table, ci)
-			lo := ci << chunkShift
-			for si := range ch.pages {
-				if lo+si >= p.npages {
-					break // tail slots beyond the pool stay nil
-				}
-				old := ch.pages[si]
-				var fresh *page
-				if old != nil {
-					if atomic.LoadInt32(&old.refs) == 1 {
-						continue // already private to this slot
-					}
-					fresh = newPageCopy(old)
-					old.release()
-				} else {
-					fresh = newPage()
-				}
-				ch.pages[si] = fresh
-			}
-		}
-	}
-	p.pageZero, p.pageShared, p.pagePrivate = 0, 0, p.npages
-	p.groupHash, p.groupOK = nil, nil
-	p.superHash, p.superOK = nil, nil
 }
 
 // Release returns the pool's chunks, pages, per-page mutable state and root

@@ -1,7 +1,5 @@
 package pmem
 
-import "pmdebugger/internal/intervals"
-
 // Fork returns a full-volatile-state copy-on-write clone of the pool.
 //
 // Where Crash materializes what a power failure leaves behind — persistent
@@ -30,29 +28,8 @@ func (p *Pool) Fork() *Pool {
 	defer p.mu.Unlock()
 	p.syncLocked()
 
-	nc := len(p.persist)
-	tables := newTables(nc)
-	n := &Pool{
-		base:     p.base,
-		size:     p.size,
-		volatile: tables.volatile,
-		persist:  tables.persist,
-		muts:     tables.muts,
-		npages:   p.npages,
-		names:    make(map[string]intervals.Range, len(p.names)),
-	}
-	copy(n.persist, p.persist)
-	for _, ch := range n.persist {
-		if ch != nil {
-			ch.retain()
-		}
-	}
-	copy(n.volatile, p.volatile)
-	for _, ch := range n.volatile {
-		if ch != nil {
-			ch.retain()
-		}
-	}
+	n := p.cloneLocked()
+	shareChunks(n.volatile, p.volatile)
 	copy(n.muts, p.muts)
 	for _, mc := range n.muts {
 		if mc != nil {
@@ -66,31 +43,6 @@ func (p *Pool) Fork() *Pool {
 	n.dirtyLineCount = p.dirtyLineCount
 	n.pendingLineCount = p.pendingLineCount
 
-	// PageStats handoff, exactly as in Crash: sharing the persistent table
-	// turns every materialized page — parent's and fork's alike — into a
-	// shared page; zero spans stay zero on both sides.
-	n.pageZero = p.pageZero
-	n.pageShared = p.pageShared + p.pagePrivate
-	p.pageShared, p.pagePrivate = n.pageShared, 0
-
-	// Warm Merkle caches ride along: shared pages have identical content,
-	// and persistWritable invalidates the covering entries on either side's
-	// later commits.
-	if p.groupOK != nil {
-		n.groupHash = append([][32]byte(nil), p.groupHash...)
-		n.groupOK = append([]bool(nil), p.groupOK...)
-	}
-	if p.superOK != nil {
-		n.superHash = append([][32]byte(nil), p.superHash...)
-		n.superOK = append([]bool(nil), p.superOK...)
-	}
-
-	for name, r := range p.names {
-		n.names[name] = r
-	}
-	n.sortedNames = p.sortedNames
-	n.namesHash, n.namesHashOK = p.namesHash, p.namesHashOK
-
 	n.alloc.cloneFrom(&p.alloc)
 	n.stats = p.stats
 
@@ -100,10 +52,5 @@ func (p *Pool) Fork() *Pool {
 	n.epochDepth = p.epochDepth
 	n.epochID = p.epochID
 	n.strandSeq = p.strandSeq
-
-	// Engine knobs are inherited (unlike Crash): a fork exists to produce
-	// the same images the parent would have produced.
-	n.deepCopyCrash = p.deepCopyCrash
-	n.flatTables = p.flatTables
 	return n
 }

@@ -34,13 +34,15 @@ func (p *Pool) WriteImage(w io.Writer) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("pmem: write image header: %w", err)
 	}
-	// Named ranges survive restart (they model program symbols).
+	// Named ranges survive restart (they model program symbols). They are
+	// written in sorted order, so equal pools serialize to equal bytes.
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(p.names)))
 	if _, err := bw.Write(cnt[:]); err != nil {
 		return err
 	}
-	for name, r := range p.names {
+	for _, name := range p.sortedNamesLocked() {
+		r := p.names[name]
 		var rec [20]byte
 		binary.LittleEndian.PutUint32(rec[0:], uint32(len(name)))
 		binary.LittleEndian.PutUint64(rec[4:], r.Addr)
@@ -146,12 +148,7 @@ func ReadImage(r io.Reader) (*Pool, error) {
 		p.pageZero--
 		p.pagePrivate++
 	}
-	copy(p.volatile, p.persist)
-	for _, ch := range p.volatile {
-		if ch != nil {
-			ch.retain()
-		}
-	}
+	shareChunks(p.volatile, p.persist)
 	// The chunk aliasing just re-shared every materialized page.
 	p.pageShared += p.pagePrivate
 	p.pagePrivate = 0

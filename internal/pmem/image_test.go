@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -81,5 +82,33 @@ func TestImageBadInput(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-100]
 	if _, err := ReadImage(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated image accepted")
+	}
+}
+
+// TestWriteImageDeterministic writes a pool with several named regions
+// twice, and once more after a ReadImage round trip: all three byte
+// streams must be identical, whatever order the names map yields.
+func TestWriteImageDeterministic(t *testing.T) {
+	p := New(1 << 16)
+	for i := 0; i < 8; i++ {
+		p.RegisterNamed(fmt.Sprintf("region%d", i), p.Base()+uint64(i)*512, 64)
+	}
+	persist(p.Ctx(), p.Base()+100, []byte("payload"))
+	var a, b, c bytes.Buffer
+	if err := p.WriteImage(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteImage(&b); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ReadImage(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.WriteImage(&c); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) || !bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("equal pools serialize to different bytes")
 	}
 }

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -36,10 +37,14 @@ func TestCrashCoinsMatchRand(t *testing.T) {
 // lines (dirty-pending), two-line stores and flushes, name churn — and after
 // every operation crashes the pool under every policy and several seeds two
 // ways: Crash, and SelectCrash with one long-lived CrashCoins per seed
-// followed by CrashWith. The two images must have equal fingerprints, and
-// over the whole run two crashes whose outcome keys agree must have equal
+// followed by CrashWith. The two images must have equal fingerprints, over
+// the whole run two crashes whose outcome keys agree must have equal
 // fingerprints — the property the record-once explorer's outcome-keyed
-// deduplication rests on.
+// deduplication rests on — and every image must equal the RefPool crash
+// image of the recorded journal. At the end of the program one image per
+// policy is written to (a persisted store straddling a chunk boundary plus
+// a line left pending) and crashed again, and that second generation must
+// equal the reference's too.
 func FuzzCrashOutcome(f *testing.F) {
 	// Stage four lines in two chunks, restage one with equal bytes, fence.
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 2, 2, 0, 5, 3, 5, 0, 1, 2, 1, 4, 0})
@@ -57,6 +62,9 @@ func FuzzCrashOutcome(f *testing.F) {
 		}
 		p := New(size)
 		c := p.Ctx()
+		journal := p.RecordJournal()
+		ref := NewRefPool(p.Base(), p.Size())
+		fed := 0
 		seeds := []int64{1, 2, 3, 4, 5, 6}
 		coins := make([]*CrashCoins, len(seeds))
 		for i, seed := range seeds {
@@ -87,6 +95,9 @@ func FuzzCrashOutcome(f *testing.F) {
 			case 5:
 				p.RegisterNamed(fmt.Sprintf("n%d", arg%3), a, uint64(arg%4+1)*8)
 			}
+			for ; fed < journal.Len(); fed++ {
+				ref.Apply(journal.Events[fed], journal.Payload(fed))
+			}
 			fp := p.Fingerprint()
 			for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
 				for si, seed := range seeds {
@@ -105,10 +116,39 @@ func FuzzCrashOutcome(f *testing.F) {
 						t.Fatalf("op %d policy %d seed %d: equal outcome keys, different images", i/2, policy, seed)
 					}
 					seen[key] = gfp
+					if err := ref.CheckCrash(got, policy, seed); err != nil {
+						t.Fatalf("op %d policy %d seed %d: %v", i/2, policy, seed, err)
+					}
 					want.Release()
 					got.Release()
 				}
 			}
 		}
+		for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
+			img := p.Crash(policy, 42)
+			if err := crashSecondGeneration(img, ref.Crash(policy, 42), policy); err != nil {
+				t.Fatalf("policy %d: second generation: %v", policy, err)
+			}
+			img.Release()
+		}
 	})
+}
+
+// crashSecondGeneration writes into crash image img and its reference ref
+// alike — a persisted store straddling the first chunk boundary and a store
+// left pending in the third chunk — then crashes both again under policy
+// and checks the second-generation image against the reference's.
+func crashSecondGeneration(img *Pool, ref *RefPool, policy CrashPolicy) error {
+	journal := img.RecordJournal()
+	c := img.Ctx()
+	persist(c, img.Base()+chunkSpan-64, bytes.Repeat([]byte{0x99}, 128))
+	a := img.Base() + 2*chunkSpan + LineSize
+	c.Store64(a, 0x77)
+	c.Flush(a, 8)
+	for i := 0; i < journal.Len(); i++ {
+		ref.Apply(journal.Events[i], journal.Payload(i))
+	}
+	next := img.Crash(policy, 42)
+	defer next.Release()
+	return ref.CheckCrash(next, policy, 42)
 }

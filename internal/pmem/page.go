@@ -245,6 +245,18 @@ func (ch *pageChunk) release() {
 // slot.
 func (ch *pageChunk) shared() bool { return atomic.LoadInt32(&ch.refs) > 1 }
 
+// shareChunks makes directory dst alias src chunk for chunk, retaining every
+// chunk it copies: the O(pool/2MiB) step that shares a whole image between
+// two directories.
+func shareChunks(dst, src []*pageChunk) {
+	copy(dst, src)
+	for _, ch := range dst {
+		if ch != nil {
+			ch.retain()
+		}
+	}
+}
+
 // newPageMut returns a mut with all lines clean and refcount 1. The pending
 // area is not cleared: its bytes are only ever read after being staged by a
 // flush.

@@ -102,23 +102,10 @@ type Pool struct {
 	namesHash   [32]byte
 	namesHashOK bool
 
-	// deepCopyCrash disables copy-on-write crash images: Crash materializes
-	// every page of the snapshot privately, restoring the O(pool) cost
-	// model of the pre-COW engine. Images are byte-identical either way;
-	// benchmarks keep this baseline reachable via SetCrashDeepCopy.
-	deepCopyCrash bool
-	// flatTables disables chunk-granular sharing: Crash copies the page
-	// tables page by page (a fresh private chunk per directory slot, every
-	// page retained individually), restoring the page-granular engine's
-	// O(table length) per-snapshot cost while keeping bytes O(dirty).
-	// Images are byte-identical either way; SetFlatTables keeps the
-	// baseline reachable for benchmarks and differential tests.
-	flatTables bool
-
 	// pageZero/pageShared/pagePrivate are the PageStats composition
 	// counters, maintained incrementally (page materialization and
 	// copy-before-write in persistWritable, wholesale reclassification in
-	// Crash/materializeAllLocked/ReadImage) so the query is O(1) instead of
+	// cloneLocked/Crash/ReadImage) so the query is O(1) instead of
 	// an O(table) scan per image. Their sum is always npages. "Shared" is
 	// exact at image birth and under this pool's own operations, and drifts
 	// conservatively (over-reporting shared, never private) when a related
