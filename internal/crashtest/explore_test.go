@@ -1,8 +1,10 @@
 package crashtest
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"pmdebugger/internal/pmem"
@@ -130,6 +132,83 @@ func TestExploreMatchesSerial(t *testing.T) {
 				t.Errorf("policy %v %s: images report no zero or shared pages", cfg.Policy, variant.name)
 			}
 		}
+	}
+}
+
+// TestExploreDeepCopyMatchesCOW runs the checker on a deep copy of every
+// copy-on-write image the engines build — ReadImage(WriteImage(img)), a
+// pool sharing no chunk with the shadow, the parent or any other image —
+// and checks that the verdicts do not depend on the sharing: under all
+// three policies, with 4 workers and both reducers, the deep-copy failure
+// sets equal the COW run's and RunSerial's, and RunSerial on deep copies
+// equals RunSerial on COW images. Every copy must carry its image's
+// fingerprint, and the COW images must report mostly zero and shared
+// pages.
+func TestExploreDeepCopyMatchesCOW(t *testing.T) {
+	var copies, mismatches atomic.Int64
+	deepCheck := func(img *pmem.Pool) error {
+		var buf bytes.Buffer
+		if err := img.WriteImage(&buf); err != nil {
+			return err
+		}
+		deep, err := pmem.ReadImage(&buf)
+		if err != nil {
+			return err
+		}
+		defer deep.Release()
+		copies.Add(1)
+		if deep.Fingerprint() != img.Fingerprint() {
+			mismatches.Add(1)
+		}
+		return exploreCheck(deep)
+	}
+	for _, policy := range []pmem.CrashPolicy{
+		pmem.CrashDropPending, pmem.CrashApplyPending, pmem.CrashRandomPending,
+	} {
+		cfg := Config{Policy: policy, Seeds: []int64{3, 9}, Workers: 4, Prune: true, Dedup: true}
+		serial, err := RunSerial(exploreProg, exploreCheck, cfg)
+		if err != nil {
+			t.Fatalf("policy %v: serial: %v", policy, err)
+		}
+		cowRes, err := Run(exploreProg, exploreCheck, cfg)
+		if err != nil {
+			t.Fatalf("policy %v: cow: %v", policy, err)
+		}
+		deepRes, err := Run(exploreProg, deepCheck, cfg)
+		if err != nil {
+			t.Fatalf("policy %v: deepcopy: %v", policy, err)
+		}
+		deepSerial, err := RunSerial(exploreProg, deepCheck, cfg)
+		if err != nil {
+			t.Fatalf("policy %v: deepcopy serial: %v", policy, err)
+		}
+		if len(serial.Failures) == 0 {
+			t.Fatalf("policy %v: serial found no failures; the differential is vacuous", policy)
+		}
+		if !reflect.DeepEqual(cowRes.FailureKeys(), serial.FailureKeys()) {
+			t.Errorf("policy %v: COW failure set differs from serial\ncow:    %v\nserial: %v",
+				policy, cowRes.FailureKeys(), serial.FailureKeys())
+		}
+		if !reflect.DeepEqual(deepRes.FailureKeys(), cowRes.FailureKeys()) {
+			t.Errorf("policy %v: deep-copy failure set differs from COW\ndeep: %v\ncow:  %v",
+				policy, deepRes.FailureKeys(), cowRes.FailureKeys())
+		}
+		if !reflect.DeepEqual(deepSerial.FailureKeys(), serial.FailureKeys()) {
+			t.Errorf("policy %v: deep-copy serial failure set differs from COW serial", policy)
+		}
+		if deepRes.Images != cowRes.Images || deepRes.DedupImages != cowRes.DedupImages {
+			t.Errorf("policy %v: deep-copy run checked %d images (%d deduplicated), COW run %d (%d)",
+				policy, deepRes.Images, deepRes.DedupImages, cowRes.Images, cowRes.DedupImages)
+		}
+		if cowRes.Images > 0 && cowRes.ZeroPages+cowRes.SharedPages == 0 {
+			t.Errorf("policy %v: COW run reports no zero or shared pages", policy)
+		}
+	}
+	if copies.Load() == 0 {
+		t.Fatal("no image was deep-copied")
+	}
+	if n := mismatches.Load(); n != 0 {
+		t.Errorf("%d of %d deep copies have a fingerprint other than their image's", n, copies.Load())
 	}
 }
 

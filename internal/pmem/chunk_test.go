@@ -157,12 +157,13 @@ func TestRecycledChunkCleanliness(t *testing.T) {
 // TestPageStatsCountersMatchScan asserts the O(1) PageStats counters
 // against the structural scan: exactly in every phase where the counters
 // are defined to be exact (a pool's own operations, both sides of a fresh
-// crash or fork, image-local writes), and by the conservative invariants
-// (zero exact, sum exact, shared never under-reported) once a related pool
-// has written.
+// clone, clone-local writes), and by the conservative invariants (zero
+// exact, sum exact, shared never under-reported) once a related pool has
+// written. Each subtest takes one kind of clone of the same pool: chunked,
+// a chunk-shared crash image; fork, a Fork.
 func TestPageStatsCountersMatchScan(t *testing.T) {
 	const size = 1 << 23 // 4 chunks, 2048 pages
-	exact := func(pool *Pool, stage string) {
+	exact := func(t *testing.T, pool *Pool, stage string) {
 		t.Helper()
 		z, s, pr := pool.PageStats()
 		sz, ss, sp := pool.scanPageStats()
@@ -171,58 +172,71 @@ func TestPageStatsCountersMatchScan(t *testing.T) {
 				stage, z, s, pr, sz, ss, sp)
 		}
 	}
-	p := New(size)
-	c := p.Ctx()
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 40; i++ {
-		off := uint64(rng.Intn(size - 4096))
-		persist(c, p.Base()+off, bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(600)))
-		exact(p, "single-pool op")
+	// populate returns a pool after 40 persisted writes, with some lines
+	// left pending so the apply policy duplicates chunks inside Crash.
+	populate := func(t *testing.T) (*Pool, *rand.Rand) {
+		p := New(size)
+		c := p.Ctx()
+		rng := rand.New(rand.NewSource(17))
+		for i := 0; i < 40; i++ {
+			off := uint64(rng.Intn(size - 4096))
+			persist(c, p.Base()+off, bytes.Repeat([]byte{byte(i + 1)}, 1+rng.Intn(600)))
+			exact(t, p, "single-pool op")
+		}
+		c.StoreBytes(p.Base()+uint64(rng.Intn(size-64)), bytes.Repeat([]byte{0x7f}, 64))
+		c.Flush(p.Base(), 64)
+		return p, rng
 	}
-	// Leave some lines pending so the apply policy duplicates chunks
-	// inside Crash.
-	c.StoreBytes(p.Base()+uint64(rng.Intn(size-64)), bytes.Repeat([]byte{0x7f}, 64))
-	c.Flush(p.Base(), 64)
+	// cloneWrites writes into clone, which must keep its counters exact;
+	// then, with the clone's chunks unshared, the parent writes too: its
+	// counters may over-report sharing but never under-report it, and the
+	// zero count stays exact.
+	cloneWrites := func(t *testing.T, p, clone *Pool, rng *rand.Rand) {
+		cc := clone.Ctx()
+		for i := 0; i < 20; i++ {
+			off := uint64(rng.Intn(size - 4096))
+			persist(cc, clone.Base()+off, bytes.Repeat([]byte{0xee}, 1+rng.Intn(300)))
+			exact(t, clone, "clone op")
+		}
+		persist(p.Ctx(), p.Base()+128, bytes.Repeat([]byte{0x21}, 64))
+		z, s, pr := p.PageStats()
+		sz, ss, sp := p.scanPageStats()
+		if z != sz {
+			t.Fatalf("parent zero count %d != scan %d", z, sz)
+		}
+		if s+pr != ss+sp {
+			t.Fatalf("parent materialized count %d != scan %d", s+pr, ss+sp)
+		}
+		if s < ss {
+			t.Fatalf("parent counters under-report shared: %d < scan %d", s, ss)
+		}
+	}
 
-	snap := p.Crash(CrashApplyPending, 0)
-	exact(p, "parent after crash")
-	exact(snap, "fresh image")
-	z, s, pr := snap.PageStats()
-	if z+s+pr != snap.npages {
-		t.Fatalf("image counters sum %d, want %d", z+s+pr, snap.npages)
-	}
-	if pr != 0 {
-		t.Fatalf("fresh image reports %d private pages", pr)
-	}
-	fork := p.Fork()
-	exact(p, "parent after fork")
-	exact(fork, "fresh fork")
-	fork.Release()
-
-	// The image's own writes keep its counters exact.
-	sc := snap.Ctx()
-	for i := 0; i < 20; i++ {
-		off := uint64(rng.Intn(size - 4096))
-		persist(sc, snap.Base()+off, bytes.Repeat([]byte{0xee}, 1+rng.Intn(300)))
-		exact(snap, "image op")
-	}
-
-	// After the image unshared chunks, the parent's counters may
-	// over-report sharing but never under-report it, and the zero
-	// count stays exact.
-	persist(c, p.Base()+128, bytes.Repeat([]byte{0x21}, 64))
-	z, s, pr = p.PageStats()
-	sz, ss, sp := p.scanPageStats()
-	if z != sz {
-		t.Fatalf("parent zero count %d != scan %d", z, sz)
-	}
-	if s+pr != ss+sp {
-		t.Fatalf("parent materialized count %d != scan %d", s+pr, ss+sp)
-	}
-	if s < ss {
-		t.Fatalf("parent counters under-report shared: %d < scan %d", s, ss)
-	}
-	snap.Release()
+	t.Run("chunked", func(t *testing.T) {
+		p, rng := populate(t)
+		defer p.Release()
+		snap := p.Crash(CrashApplyPending, 0)
+		defer snap.Release()
+		exact(t, p, "parent after crash")
+		exact(t, snap, "fresh image")
+		z, s, pr := snap.PageStats()
+		if z+s+pr != snap.npages {
+			t.Fatalf("image counters sum %d, want %d", z+s+pr, snap.npages)
+		}
+		if pr != 0 {
+			t.Fatalf("fresh image reports %d private pages", pr)
+		}
+		cloneWrites(t, p, snap, rng)
+	})
+	t.Run("fork", func(t *testing.T) {
+		p, rng := populate(t)
+		defer p.Release()
+		fork := p.Fork()
+		defer fork.Release()
+		exact(t, p, "parent after fork")
+		exact(t, fork, "fresh fork")
+		cloneWrites(t, p, fork, rng)
+	})
 }
 
 // TestConcurrentSnapshotChunkWrites is the -race exercise for the chunk
@@ -321,4 +335,51 @@ func TestPartialTailChunk(t *testing.T) {
 	}() {
 		t.Fatal("ReadImage counters diverge from the scan")
 	}
+}
+
+// FuzzChunkedVsFlat feeds a random store/flush/fence program spanning
+// several chunks to a pool and, through its recorded journal, to a RefPool
+// — the flat-byte model — and checks that the chunk-shared crash images
+// equal the reference's byte for byte under all three pending-line
+// policies, including a second crash generation taken after writing into
+// each first image across a chunk boundary (the shared-chunk write path).
+func FuzzChunkedVsFlat(f *testing.F) {
+	f.Add([]byte{0x01, 0x40, 0x02, 0x03, 0x01, 0x00})
+	f.Add([]byte{0x01, 0x10, 0x00, 0xfe, 0x02, 0x01, 0x55, 0x02, 0x03, 0x80})
+	f.Add(bytes.Repeat([]byte{0x00, 0xf0, 0x01, 0x20, 0x02, 0x03}, 12))
+	f.Fuzz(func(t *testing.T, program []byte) {
+		const size = 1 << 23 // 4 chunks
+		p := New(size)
+		defer p.Release()
+		journal := p.RecordJournal()
+		c := p.Ctx()
+		for i := 0; i+1 < len(program); i += 2 {
+			op, arg := program[i], uint64(program[i+1])
+			addr := p.Base() + (arg*65539)%(size-600)
+			switch op % 4 {
+			case 0:
+				c.Store64(addr, arg*0x9e3779b97f4a7c15)
+			case 1:
+				c.StoreBytes(addr, bytes.Repeat([]byte{byte(arg)}, 1+int(arg%300)))
+			case 2:
+				c.Flush(addr&^63, 64)
+			case 3:
+				c.Fence()
+			}
+		}
+		ref := NewRefPool(p.Base(), p.Size())
+		for i := 0; i < journal.Len(); i++ {
+			ref.Apply(journal.Events[i], journal.Payload(i))
+		}
+		for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
+			img := p.Crash(policy, 42)
+			if err := ref.CheckCrash(img, policy, 42); err != nil {
+				t.Fatalf("policy %d: %v", policy, err)
+			}
+			if err := crashSecondGeneration(img, ref.Crash(policy, 42), policy); err != nil {
+				t.Fatalf("policy %d: second generation: %v", policy, err)
+			}
+			img.Release()
+		}
+	})
 }

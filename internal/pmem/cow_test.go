@@ -300,3 +300,48 @@ func TestConcurrentParentSnapshotWrites(t *testing.T) {
 		t.Fatal("parent unusable after concurrent snapshots")
 	}
 }
+
+// FuzzCOWvsDeepCrash feeds a random store/flush/fence program — byte-level
+// stores of up to 300 bytes at arbitrary offsets, so stores straddle lines
+// and pages — to a pool and, through its recorded journal, to a RefPool,
+// and checks that the copy-on-write crash image equals the reference's deep
+// crash image (a full copy of its flat persistent bytes plus the applied
+// lines) byte for byte, with a matching fingerprint, under all three
+// pending-line policies.
+func FuzzCOWvsDeepCrash(f *testing.F) {
+	f.Add([]byte{0x01, 0x40, 0x02, 0x03, 0x01, 0x00})
+	f.Add([]byte{0x01, 0x10, 0x01, 0x90, 0x02, 0x01, 0x55, 0x02})
+	f.Add(bytes.Repeat([]byte{0x01, 0x20, 0x02, 0x03}, 16))
+	f.Fuzz(func(t *testing.T, program []byte) {
+		const size = 1 << 18
+		p := New(size)
+		defer p.Release()
+		journal := p.RecordJournal()
+		c := p.Ctx()
+		for i := 0; i+1 < len(program); i += 2 {
+			op, arg := program[i], uint64(program[i+1])
+			addr := p.Base() + (arg*1021)%(size-512)
+			switch op % 4 {
+			case 0:
+				c.Store64(addr, arg*0x9e3779b97f4a7c15)
+			case 1:
+				c.StoreBytes(addr, bytes.Repeat([]byte{byte(arg)}, 1+int(arg%300)))
+			case 2:
+				c.Flush(addr&^63, 64)
+			case 3:
+				c.Fence()
+			}
+		}
+		ref := NewRefPool(p.Base(), p.Size())
+		for i := 0; i < journal.Len(); i++ {
+			ref.Apply(journal.Events[i], journal.Payload(i))
+		}
+		for policy := CrashDropPending; policy <= CrashRandomPending; policy++ {
+			img := p.Crash(policy, 99)
+			if err := ref.CheckCrash(img, policy, 99); err != nil {
+				t.Fatalf("policy %d: %v", policy, err)
+			}
+			img.Release()
+		}
+	})
+}
