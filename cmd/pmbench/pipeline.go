@@ -40,9 +40,9 @@ type pipelineArtifact struct {
 	MemcachedSetRatio   float64                  `json:"memcached_set_ratio"`
 	MemcachedValueSize  int                      `json:"memcached_value_size"`
 	Results             []harness.PipelineResult `json:"results"`
-	Speedups            map[string]float64       `json:"speedups"`        // pipelined live over inline live
-	TotalSpeedups       map[string]float64       `json:"total_speedups"`  // pipelined, live + drain
-	ShardedSpeedups     map[string]float64       `json:"sharded_speedups"`// sharded live over inline live
+	Speedups            map[string]float64       `json:"speedups"`         // pipelined live over inline live
+	TotalSpeedups       map[string]float64       `json:"total_speedups"`   // pipelined, live + drain
+	ShardedSpeedups     map[string]float64       `json:"sharded_speedups"` // sharded live over inline live
 	ShardedDrainScaling map[string]float64       `json:"sharded_drain_scaling,omitempty"`
 	ShardedFallbacks    map[string]string        `json:"sharded_fallbacks,omitempty"` // workload -> why not sharded
 	GeomeanSpeedup      float64                  `json:"geomean_speedup"`
@@ -53,8 +53,8 @@ type pipelineArtifact struct {
 }
 
 // pipelineExp measures live-run throughput with PMDebugger attached
-// inline, through a single-consumer trace.Pipeline, and through a
-// per-strand-sharded trace.ShardedPipeline, on the multi-threaded
+// inline, through a one-ring trace.Pipeline, and through a strand-routed
+// trace.Pipeline with one ring per shard, on the multi-threaded
 // memcached workload (strict and strand-section variants) and the redis
 // LRU test. Delivery equivalence (byte-identical reports on an identical
 // recorded stream, all modes) is verified by the harness before any

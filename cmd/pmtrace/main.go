@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"pmdebugger/internal/baselines"
 	"pmdebugger/internal/core"
@@ -191,15 +190,15 @@ func doReplay(path, detector, modelName string, parallel bool, workers int) erro
 			return fmt.Errorf("-parallel supports only the pmdebugger detector (got %q)", detector)
 		}
 		cfg := core.Config{Model: model}
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if !core.Parallelizable(cfg) {
+		if !core.Shardable(cfg) {
 			fmt.Fprintf(os.Stderr, "pmtrace: model %s replays sequentially (only strand traces partition)\n", model)
 		}
-		rep, err := core.ReplayParallelStream(func() (io.ReadCloser, error) {
-			return os.Open(path)
-		}, cfg, workers)
+		file, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer file.Close()
+		rep, err := core.ReplayStream(file, cfg, workers)
 		if err != nil {
 			return err
 		}

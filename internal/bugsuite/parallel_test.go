@@ -12,7 +12,7 @@ import (
 // TestParallelReplayMatchesSequentialOnSuite records every bug case's
 // instruction stream and verifies that the sharded parallel replay produces
 // a report identical — same bugs, same order, same counters — to the
-// sequential replay. Strand cases exercise the real partitioned path (or
+// sequential replay. Strand cases exercise the strand-routed path (or
 // its order-spec fallback); all other models exercise the batched
 // sequential fallback, which must also match exactly.
 func TestParallelReplayMatchesSequentialOnSuite(t *testing.T) {

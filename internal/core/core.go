@@ -376,7 +376,7 @@ func (d *Detector) finish() {
 		// and a map-ordered sweep would make the report's bug order (and
 		// therefore which duplicate wins deduplication) vary run to run under
 		// the strand model. Deterministic order is also what lets a
-		// partitioned parallel replay merge shard reports back into the exact
+		// strand-routed parallel replay merge shard reports back into the exact
 		// sequential report.
 		type remaining struct {
 			it      avl.Item

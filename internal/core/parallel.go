@@ -1,330 +1,62 @@
 package core
 
 import (
-	"errors"
 	"io"
 	"runtime"
-	"sync"
 
 	"pmdebugger/internal/report"
-	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
 )
 
-// This file implements the sharded parallel trace-replay pipeline on top of
-// the engine: a recorded (or streamed) instruction stream is partitioned
-// along strand boundaries, each shard replays into its own Detector on a
-// worker pool, and the shard reports merge back into the exact report a
-// sequential replay produces. Strands are the strand model's independent
-// persist paths (§5.1): the engine bookkeeps each in its own space and no
-// default rule correlates records across strands, so per-strand subsequences
-// replay to identical bookkeeping in any interleaving.
-//
-// The dispatcher is pipelined rather than partition-then-replay: shard
-// workers consume work while the dispatcher is still routing later events,
-// so the serial cost on the critical path is only the routing scan itself.
-// Strand sections arrive as runs of consecutive same-strand events, which
-// the dispatcher detects and routes whole. In-memory replay routes runs as
-// zero-copy subslices of the immutable event slice; streaming replay copies
-// runs into pooled batches because the decode buffer is recycled.
+// Offline parallel replay is live sharded detection fed by a trace reader
+// instead of a pool: a ShardedDetector behind a strand-routed
+// trace.Pipeline, one ring and consumer goroutine per shard, whose shard
+// reports merge back into the exact report a sequential replay produces.
 
-// Parallelizable reports whether the configuration permits strand-
-// partitioned replay: the strand persistency model with no cross-strand
-// order requirements and no cross-failure recovery hook. Every other
-// configuration folds all bookkeeping into one space (or correlates strands
-// through the shared order tracker), so those replay on the batched
-// sequential path instead.
-func Parallelizable(cfg Config) bool {
-	return cfg.Model == rules.Strand && len(cfg.Orders) == 0 && cfg.CrossFailureCheck == nil
-}
-
-// ReplayParallel replays a recorded event stream under cfg, partitioned by
+// ReplayParallel replays a recorded event stream under cfg, routed by
 // strand across up to workers shard detectors (workers <= 0 means
 // GOMAXPROCS), and returns the merged report. The merge is deterministic:
 // the result is identical — same bugs, same order, same counters — to
-// replaying the stream sequentially into one Detector. Traces or
-// configurations that cannot be partitioned (non-strand models, order
-// specs, epoch sections in the trace) fall back to batched sequential
-// replay transparently.
+// replaying the stream sequentially into one Detector. Configurations that
+// cannot shard (non-strand models, order specs, epoch-scoped rules) replay
+// sequentially; global events in a strand trace (epoch markers, log adds)
+// drain every shard before they are delivered.
 func ReplayParallel(events []trace.Event, cfg Config, workers int) *report.Report {
+	rep, _ := replaySharded(cfg, workers, func(h trace.Handler) error {
+		trace.ReplayEvents(events, h)
+		return nil
+	})
+	return rep
+}
+
+// ReplayStream is ReplayParallel over an encoded trace read from r, decoded
+// batch by batch without materializing it.
+func ReplayStream(r io.Reader, cfg Config, workers int) (*report.Report, error) {
+	return replaySharded(cfg, workers, func(h trace.Handler) error {
+		_, err := trace.StreamTrace(r, h)
+		return err
+	})
+}
+
+// replaySharded runs feed into a sharded detector — through a strand-routed
+// pipeline, or straight into the single engine when the detector falls
+// back — and returns the merged report.
+func replaySharded(cfg Config, workers int, feed func(trace.Handler) error) (*report.Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if Parallelizable(cfg) && workers > 1 {
-		if rep, err := parallelSlices(events, cfg, workers); err == nil {
-			return rep
-		}
-	}
-	d := New(cfg)
-	trace.ReplayEvents(events, d)
-	return d.Report()
-}
-
-// ReplayParallelStream replays a trace from a stream without materializing
-// it: batches are decoded into pooled buffers and dispatched to per-shard
-// detector goroutines as they arrive. open must return a fresh reader for
-// the trace; it is invoked a second time when a mid-stream event turns out
-// to make the trace non-partitionable (epoch sections, log adds), in which
-// case the replay restarts on the batched sequential path. The report is
-// identical to a sequential replay either way.
-func ReplayParallelStream(open func() (io.ReadCloser, error), cfg Config, workers int) (*report.Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if Parallelizable(cfg) && workers > 1 {
-		rc, err := open()
-		if err != nil {
+	sd := NewSharded(cfg, workers)
+	if sd.Fallback() {
+		if err := feed(sd); err != nil {
 			return nil, err
 		}
-		rep, err := parallelStream(rc, cfg, workers)
-		rc.Close()
-		if err == nil {
-			return rep, nil
-		}
-		if !errors.Is(err, trace.ErrNotPartitionable) {
-			return nil, err
-		}
+		return sd.Report(), nil
 	}
-	rc, err := open()
+	pipe := trace.NewPipeline(sd, trace.PipelineOptions{Shards: sd.ShardHandlers()})
+	err := feed(pipe)
+	pipe.Close()
 	if err != nil {
 		return nil, err
 	}
-	defer rc.Close()
-	d := New(cfg)
-	if _, err := trace.StreamTrace(rc, d); err != nil {
-		return nil, err
-	}
-	return d.Report(), nil
-}
-
-// strandLocalMask has bit k set when Kind k only touches its own strand's
-// bookkeeping and therefore routes to a single shard.
-const strandLocalMask = 1<<trace.KindStore | 1<<trace.KindFlush | 1<<trace.KindFence |
-	1<<trace.KindStrandBegin | 1<<trace.KindStrandEnd
-
-func strandLocal(k trace.Kind) bool { return strandLocalMask>>k&1 == 1 }
-
-// shardSet is the worker-pool scaffolding shared by both dispatchers: one
-// detector plus one work channel per shard, a handler draining each channel
-// into its detector, and a deterministic merge of the shard reports.
-type shardSet[T any] struct {
-	dets  []*Detector
-	chans []chan T
-	wg    sync.WaitGroup
-}
-
-func newShardSet[T any](cfg Config, workers int, handle func(*Detector, T)) *shardSet[T] {
-	s := &shardSet[T]{
-		dets:  make([]*Detector, workers),
-		chans: make([]chan T, workers),
-	}
-	for i := range s.dets {
-		s.dets[i] = New(cfg)
-		s.chans[i] = make(chan T, 4)
-		s.wg.Add(1)
-		go func(d *Detector, ch <-chan T) {
-			defer s.wg.Done()
-			for work := range ch {
-				handle(d, work)
-			}
-		}(s.dets[i], s.chans[i])
-	}
-	return s
-}
-
-// finish closes the work channels and waits for the workers to drain.
-func (s *shardSet[T]) finish() {
-	for _, ch := range s.chans {
-		close(ch)
-	}
-	s.wg.Wait()
-}
-
-// merge finalizes the shard detectors into one deterministic report.
-func (s *shardSet[T]) merge() *report.Report {
-	reports := make([]*report.Report, len(s.dets))
-	for i, d := range s.dets {
-		reports[i] = d.Report()
-	}
-	return report.Merge("pmdebugger", reports)
-}
-
-// runListPool recycles the per-shard run lists the in-memory dispatcher
-// shuttles to the shard workers.
-var runListPool = sync.Pool{
-	New: func() any {
-		s := make([][]trace.Event, 0, runsPerMessage)
-		return &s
-	},
-}
-
-// runsPerMessage bounds how many event runs travel in one channel send.
-const runsPerMessage = 256
-
-// parallelSlices replays an in-memory event slice across workers shard
-// detectors. The slice is immutable during replay, so runs of consecutive
-// same-strand events route to their shard as subslices — the dispatcher
-// copies slice headers, never events.
-func parallelSlices(events []trace.Event, cfg Config, workers int) (*report.Report, error) {
-	set := newShardSet(cfg, workers, func(d *Detector, runs *[][]trace.Event) {
-		for _, run := range *runs {
-			d.HandleBatch(run)
-		}
-		*runs = (*runs)[:0]
-		runListPool.Put(runs)
-	})
-
-	pending := make([]*[][]trace.Event, workers)
-	for i := range pending {
-		pending[i] = runListPool.Get().(*[][]trace.Event)
-	}
-	push := func(shard int, run []trace.Event) {
-		p := pending[shard]
-		*p = append(*p, run)
-		if len(*p) == cap(*p) {
-			set.chans[shard] <- p
-			pending[shard] = runListPool.Get().(*[][]trace.Event)
-		}
-	}
-
-	for i := 0; i < len(events); {
-		ev := events[i]
-		if strandLocal(ev.Kind) {
-			// Extend the run while the strand matches exactly: same strand
-			// implies same shard, and the equality test is cheaper than
-			// re-deriving the shard per event.
-			j := i + 1
-			for j < len(events) && strandLocal(events[j].Kind) && events[j].Strand == ev.Strand {
-				j++
-			}
-			push(int(uint32(ev.Strand)%uint32(workers)), events[i:j])
-			i = j
-			continue
-		}
-		switch ev.Kind {
-		case trace.KindRegister, trace.KindUnregister:
-			// Region bookkeeping is shared state: replicate to every shard
-			// (idempotent per shard).
-			for shard := range pending {
-				push(shard, events[i:i+1])
-			}
-		case trace.KindJoinStrand, trace.KindEnd:
-			// Dropped: joins are inert without order specs and finalization
-			// runs via Report.
-		default:
-			// Epoch sections and transaction log adds correlate strands
-			// through global state; the trace cannot be partitioned.
-			set.finish()
-			return nil, trace.ErrNotPartitionable
-		}
-		i++
-	}
-	for shard, p := range pending {
-		if len(*p) > 0 {
-			set.chans[shard] <- p
-		} else {
-			runListPool.Put(p)
-		}
-	}
-	set.finish()
-	return set.merge(), nil
-}
-
-// shardBatchPool recycles the event slices the streaming dispatcher copies
-// decoded events into before handing them to the shard workers.
-var shardBatchPool = sync.Pool{
-	New: func() any {
-		s := make([]trace.Event, 0, trace.StreamBatchSize)
-		return &s
-	},
-}
-
-// parallelStream decodes the trace from r and pipes per-shard batches to
-// workers shard detectors, merging their reports at EOF. Unlike the
-// in-memory dispatcher it must copy events out of the decode buffer, which
-// the Reader recycles between batches.
-func parallelStream(r io.Reader, cfg Config, workers int) (*report.Report, error) {
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	defer tr.Close()
-
-	set := newShardSet(cfg, workers, func(d *Detector, batch *[]trace.Event) {
-		d.HandleBatch(*batch)
-		*batch = (*batch)[:0]
-		shardBatchPool.Put(batch)
-	})
-
-	pending := make([]*[]trace.Event, workers)
-	for i := range pending {
-		pending[i] = shardBatchPool.Get().(*[]trace.Event)
-	}
-	flush := func(shard int) {
-		set.chans[shard] <- pending[shard]
-		pending[shard] = shardBatchPool.Get().(*[]trace.Event)
-	}
-	pushRun := func(shard int, run []trace.Event) {
-		for {
-			p := pending[shard]
-			free := cap(*p) - len(*p)
-			if free >= len(run) {
-				*p = append(*p, run...)
-				if len(*p) == cap(*p) {
-					flush(shard)
-				}
-				return
-			}
-			*p = append(*p, run[:free]...)
-			flush(shard)
-			run = run[free:]
-		}
-	}
-
-	buf := make([]trace.Event, trace.StreamBatchSize)
-	for {
-		n, readErr := tr.ReadBatch(buf)
-		if readErr == io.EOF {
-			break
-		}
-		if readErr != nil {
-			set.finish()
-			return nil, readErr
-		}
-		batch := buf[:n]
-		for i := 0; i < len(batch); {
-			ev := batch[i]
-			if strandLocal(ev.Kind) {
-				shard := int(uint32(ev.Strand) % uint32(workers))
-				j := i + 1
-				for j < len(batch) && strandLocal(batch[j].Kind) && batch[j].Strand == ev.Strand {
-					j++
-				}
-				pushRun(shard, batch[i:j])
-				i = j
-				continue
-			}
-			switch ev.Kind {
-			case trace.KindRegister, trace.KindUnregister:
-				for shard := range pending {
-					pushRun(shard, batch[i:i+1])
-				}
-			case trace.KindJoinStrand, trace.KindEnd:
-				// Dropped, as in parallelSlices.
-			default:
-				set.finish()
-				return nil, trace.ErrNotPartitionable
-			}
-			i++
-		}
-	}
-	for shard, p := range pending {
-		if len(*p) > 0 {
-			set.chans[shard] <- p
-		} else {
-			shardBatchPool.Put(p)
-		}
-	}
-	set.finish()
-	return set.merge(), nil
+	return sd.Report(), nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -95,21 +94,22 @@ func TestReplayParallelFallsBackForNonStrandConfigs(t *testing.T) {
 		{Model: rules.Strict},
 		{Model: rules.Strand, Orders: []rules.OrderSpec{{Before: "a", After: "b"}}},
 	} {
-		if Parallelizable(cfg) {
-			t.Fatalf("config %+v should not be parallelizable", cfg)
+		if Shardable(cfg) {
+			t.Fatalf("config %+v should not be shardable", cfg)
 		}
 		seq := sequentialReport(rec.Events, cfg)
 		par := ReplayParallel(rec.Events, cfg, 4)
 		assertSameReport(t, seq, par, cfg.Model.String())
 	}
-	if !Parallelizable(Config{Model: rules.Strand}) {
-		t.Fatal("plain strand config should be parallelizable")
+	if !Shardable(Config{Model: rules.Strand}) {
+		t.Fatal("plain strand config should be shardable")
 	}
 }
 
 func TestReplayParallelFallsBackOnEpochTrace(t *testing.T) {
-	// A strand config over a trace with epoch markers: the partitioner must
-	// refuse and the fallback must still produce the sequential report.
+	// A strand config over a trace with epoch markers: the router drains
+	// every shard before each marker and the merged report must still be
+	// the sequential one.
 	var evs []trace.Event
 	seq := uint64(0)
 	emit := func(k trace.Kind, strand int32, addr, size uint64) {
@@ -134,12 +134,9 @@ func TestReplayParallelStreamMatchesSequential(t *testing.T) {
 	if err := trace.WriteTrace(&buf, rec.Events); err != nil {
 		t.Fatal(err)
 	}
-	open := func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
-	}
 	cfg := Config{Model: rules.Strand}
 	seq := sequentialReport(rec.Events, cfg)
-	par, err := ReplayParallelStream(open, cfg, 4)
+	par, err := ReplayStream(&buf, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +144,9 @@ func TestReplayParallelStreamMatchesSequential(t *testing.T) {
 }
 
 func TestReplayParallelStreamAbortsToSequential(t *testing.T) {
-	// An epoch marker deep in the stream: the parallel dispatcher has
-	// already fanned out work when it discovers the trace is not
-	// partitionable, and must restart sequentially via open().
+	// Epoch markers deep in the stream, after work has fanned out to every
+	// shard: each is delivered behind a barrier across the shards, in one
+	// pass over the stream, and the report is still the sequential one.
 	rec := recordStrandTrace(t, 32)
 	events := rec.Events[:len(rec.Events)-1] // drop KindEnd
 	events = append(events,
@@ -161,18 +158,10 @@ func TestReplayParallelStreamAbortsToSequential(t *testing.T) {
 	if err := trace.WriteTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	opens := 0
-	open := func() (io.ReadCloser, error) {
-		opens++
-		return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
-	}
 	cfg := Config{Model: rules.Strand}
-	par, err := ReplayParallelStream(open, cfg, 4)
+	par, err := ReplayStream(&buf, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if opens != 2 {
-		t.Fatalf("expected parallel attempt + sequential restart (2 opens), got %d", opens)
 	}
 	assertSameReport(t, sequentialReport(events, cfg), par, "stream-abort")
 }

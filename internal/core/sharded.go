@@ -9,13 +9,13 @@ import (
 	"pmdebugger/internal/trace"
 )
 
-// This file is the detector side of online sharded live detection: a
-// ShardedDetector owns one engine per shard and splits itself (trace.Sharder)
-// into per-shard handlers that a trace.ShardedPipeline drives from its
-// per-shard consumer goroutines. Each shard sees exactly the subsequence a
-// strand-partitioned replay would hand it, so Report — a report.Merge of
-// the shard reports — is byte-identical to inline delivery, the same
-// equivalence ReplayParallel exploits offline.
+// This file is the detector side of strand-sharded detection: a
+// ShardedDetector owns one engine per shard and splits itself
+// (trace.Sharder) into per-shard handlers that a strand-routed
+// trace.Pipeline drives from its per-shard consumer goroutines, live or
+// offline (ReplayParallel). Each shard sees exactly its strand subsequence,
+// so Report — a report.Merge of the shard reports — is byte-identical to
+// inline delivery.
 
 // epochRules are the rule bits whose verdicts depend on epoch sections or
 // transaction log events — the global (cross-strand) part of the stream
@@ -24,24 +24,34 @@ import (
 const epochRules = rules.RuleRedundantLogging | rules.RuleLackDurabilityInEpoch |
 	rules.RuleRedundantEpochFence
 
-// Shardable reports whether cfg permits live sharded detection: a
-// Parallelizable configuration (strand model, no cross-strand order specs,
-// no cross-failure hook) whose effective rule set contains no epoch-scoped
-// rules. rules.Default(rules.Strand) qualifies; a caller forcing epoch
-// rules onto the strand model does not, because those rules read global
-// state that per-shard delivery cannot reproduce.
-func Shardable(cfg Config) bool {
+// Shardable reports whether cfg permits strand-sharded detection: the
+// strand persistency model with no cross-strand order specs, no
+// cross-failure hook and no epoch-scoped rules. Every other configuration
+// folds all bookkeeping into one space or correlates strands through
+// shared state. rules.Default(rules.Strand) qualifies; a caller forcing
+// epoch rules onto the strand model does not.
+func Shardable(cfg Config) bool { return shardRefusal(cfg) == "" }
+
+// shardRefusal says why cfg is not Shardable, or "" when it is.
+func shardRefusal(cfg Config) string {
 	cfg.fill()
-	return Parallelizable(cfg) && !cfg.Rules.Has(epochRules)
+	switch {
+	case cfg.Model != rules.Strand || len(cfg.Orders) > 0 || cfg.CrossFailureCheck != nil:
+		return "configuration is not parallelizable (needs the strand model, no order specs, no cross-failure hook)"
+	case cfg.Rules.Has(epochRules):
+		return "epoch-scoped rules are enabled (they read cross-strand state)"
+	}
+	return ""
 }
 
 // ShardedDetector fans detection out across per-strand shard engines. It
 // implements trace.Handler/BatchHandler (synchronous routing, for inline
 // use and differential tests) and trace.Sharder (per-shard handlers for a
-// ShardedPipeline). When the configuration is not Shardable — or fewer
-// than 2 shards are requested — it degrades to a single engine behind the
-// same interface and says so via Fallback/FallbackReason, so callers can
-// report the degradation loudly instead of benchmarking the wrong mode.
+// routed trace.Pipeline). When the configuration is not Shardable — or
+// fewer than 2 shards are requested — it degrades to a single engine
+// behind the same interface and says so via Fallback/FallbackReason, so
+// callers can report the degradation loudly instead of benchmarking the
+// wrong mode.
 //
 // A shard handler that panics (an engine bug) is poisoned: its remaining
 // deliveries are dropped and the panic is recorded as a report failure
@@ -50,8 +60,10 @@ func Shardable(cfg Config) bool {
 type ShardedDetector struct {
 	cfg      Config
 	dets     []*Detector
-	handlers []trace.Handler // guarded per-shard wrappers, same order as dets
+	shards   []*shardHandler // guarded per-shard wrappers, same order as dets
+	handlers []trace.Handler // shards, as the trace.Sharder view
 	fallback string          // non-empty: why sharding was declined
+	one      [1]trace.Event  // HandleEvent's batch of one
 
 	mu       sync.Mutex
 	failures []string
@@ -61,23 +73,20 @@ type ShardedDetector struct {
 // shards, or a single-engine fallback when shards < 2 or the configuration
 // is not Shardable.
 func NewSharded(cfg Config, shards int) *ShardedDetector {
-	sd := &ShardedDetector{cfg: cfg}
-	switch {
-	case shards < 2:
+	sd := &ShardedDetector{cfg: cfg, fallback: shardRefusal(cfg)}
+	if shards < 2 {
 		sd.fallback = "fewer than 2 shards requested"
-	case !Parallelizable(cfg):
-		sd.fallback = "configuration is not parallelizable (needs the strand model, no order specs, no cross-failure hook)"
-	case !Shardable(cfg):
-		sd.fallback = "epoch-scoped rules are enabled (they read cross-strand state)"
 	}
 	if sd.fallback != "" {
 		shards = 1
 	}
 	sd.dets = make([]*Detector, shards)
+	sd.shards = make([]*shardHandler, shards)
 	sd.handlers = make([]trace.Handler, shards)
 	for i := range sd.dets {
 		sd.dets[i] = New(cfg)
-		sd.handlers[i] = &shardHandler{sd: sd, shard: i, det: sd.dets[i]}
+		sd.shards[i] = &shardHandler{sd: sd, shard: i, det: sd.dets[i]}
+		sd.handlers[i] = sd.shards[i]
 	}
 	return sd
 }
@@ -96,8 +105,8 @@ func (sd *ShardedDetector) Fallback() bool { return sd.fallback != "" }
 func (sd *ShardedDetector) FallbackReason() string { return sd.fallback }
 
 // ShardHandlers implements trace.Sharder: one guarded handler per shard.
-// In fallback mode it returns nil, which tells the attaching pool to use a
-// single-consumer pipeline around the ShardedDetector itself.
+// In fallback mode it returns nil, which makes a pipeline built from it a
+// single ring around the ShardedDetector itself.
 func (sd *ShardedDetector) ShardHandlers() []trace.Handler {
 	if sd.Fallback() {
 		return nil
@@ -105,60 +114,25 @@ func (sd *ShardedDetector) ShardHandlers() []trace.Handler {
 	return sd.handlers
 }
 
-func (sd *ShardedDetector) shardOf(strand int32) int {
-	return int(uint32(strand) % uint32(len(sd.dets)))
-}
-
-// HandleEvent routes one event synchronously, with the same partitioning
-// rules a ShardedPipeline applies: strand-local kinds to their shard,
-// Register/Unregister to every shard, JoinStrand/End dropped (finalization
-// happens in Report), globals to every shard. In fallback mode every event
-// passes through to the single engine unchanged.
+// HandleEvent routes one event synchronously by trace.Route's rules, with
+// no barrier: there is nothing in flight to drain. In fallback mode every
+// event passes through to the single engine unchanged.
 func (sd *ShardedDetector) HandleEvent(ev trace.Event) {
 	if sd.Fallback() {
-		sd.handlers[0].HandleEvent(ev)
+		sd.shards[0].HandleEvent(ev)
 		return
 	}
-	switch ev.Kind {
-	case trace.KindStore, trace.KindFlush, trace.KindFence,
-		trace.KindStrandBegin, trace.KindStrandEnd:
-		sd.handlers[sd.shardOf(ev.Strand)].HandleEvent(ev)
-	case trace.KindJoinStrand, trace.KindEnd:
-		// Dropped: joins are inert without order specs (not Shardable
-		// otherwise) and shard engines finalize at Report time.
-	default:
-		// Register/Unregister and global kinds: replicate to every shard.
-		for _, h := range sd.handlers {
-			h.HandleEvent(ev)
-		}
-	}
+	sd.one[0] = ev
+	trace.Route(sd.one[:], sd.shards, nil)
 }
 
-// HandleBatch implements the batch fast path by routing runs of
-// consecutive same-strand events whole.
+// HandleBatch implements the batch fast path of HandleEvent.
 func (sd *ShardedDetector) HandleBatch(evs []trace.Event) {
 	if sd.Fallback() {
-		if bh, ok := sd.handlers[0].(trace.BatchHandler); ok {
-			bh.HandleBatch(evs)
-			return
-		}
+		sd.shards[0].HandleBatch(evs)
+		return
 	}
-	for i := 0; i < len(evs); {
-		ev := evs[i]
-		if strandLocal(ev.Kind) {
-			j := i + 1
-			for j < len(evs) && strandLocal(evs[j].Kind) && evs[j].Strand == ev.Strand {
-				j++
-			}
-			if bh, ok := sd.handlers[sd.shardOf(ev.Strand)].(trace.BatchHandler); ok {
-				bh.HandleBatch(evs[i:j])
-			}
-			i = j
-			continue
-		}
-		sd.HandleEvent(ev)
-		i++
-	}
+	trace.Route(evs, sd.shards, nil)
 }
 
 // noteFailure records a recovered shard panic.
@@ -194,20 +168,10 @@ func (sd *ShardedDetector) Report() *report.Report {
 	return rep
 }
 
-// Counters returns the summed live counters of every shard engine, without
-// finalizing them.
-func (sd *ShardedDetector) Counters() report.Counters {
-	var c report.Counters
-	for _, d := range sd.dets {
-		c.Merge(d.Counters())
-	}
-	return c
-}
-
 // shardHandler guards one shard engine: a panic in the engine poisons the
 // shard (subsequent deliveries are dropped) and is recorded as a report
 // failure, so the consumer goroutine, Sync and Close keep working. Each
-// shardHandler is driven from a single goroutine — its shard's pipeline
+// shardHandler is driven from a single goroutine — its shard's ring
 // consumer (or the producer, when routed inline) — so poisoned needs no
 // synchronization.
 type shardHandler struct {

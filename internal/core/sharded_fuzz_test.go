@@ -1,20 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
 )
 
-// FuzzShardedVsInline fuzzes the tentpole equivalence of online sharded
-// detection: arbitrary multi-strand schedules of stores, flushes, fences,
-// strand sections, region registrations and joins must produce
-// byte-identical reports from (a) one sequential engine, (b) a
-// ShardedDetector routed inline, and (c) the same detector driven through a
-// trace.ShardedPipeline's per-shard consumer goroutines. The fuzzer's job
-// is to find a fence placement or cross-strand interleaving where the
-// partitioned delivery diverges from the sequential one.
+// FuzzShardedVsInline fuzzes the equivalence of strand-sharded detection:
+// arbitrary multi-strand schedules of stores, flushes, fences, strand
+// sections, region registrations, joins, epoch boundaries and log adds
+// must produce byte-identical reports from (a) one sequential engine, (b) a
+// ShardedDetector routed inline, (c) the same detector driven through a
+// routed trace.Pipeline's per-shard consumer goroutines, and offline
+// replay (d) of the event slice and (e) of its encoded stream. The
+// fuzzer's job is to find a fence placement, cross-strand interleaving or
+// global event where the routed delivery diverges from the sequential one.
 func FuzzShardedVsInline(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 0, 2, 3, 2, 0, 2, 4, 2, 6, 0})
 	f.Add([]byte{3, 0, 0, 0, 7, 0, 2, 0, 4, 0, 3, 1, 0, 1, 4, 1})
@@ -30,7 +32,7 @@ func FuzzShardedVsInline(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], uint64(data[i+1])
 			strand := int32(arg % 5) // 5 strands onto 3 shards: shards share strands
-			switch op % 8 {
+			switch op % 11 {
 			case 0: // store
 				emit(trace.KindStore, strand, base+arg*8, arg%24+1)
 			case 1: // line flush
@@ -47,6 +49,12 @@ func FuzzShardedVsInline(f *testing.F) {
 				emit(trace.KindJoinStrand, strand, 0, 0)
 			case 7: // store crossing cache lines
 				emit(trace.KindStore, strand, base+arg*8, 64+arg%64)
+			case 8: // epoch begin (global: a barrier across the shards)
+				emit(trace.KindEpochBegin, strand, 0, 0)
+			case 9: // epoch end (global)
+				emit(trace.KindEpochEnd, strand, 0, 0)
+			case 10: // undo-log add (global)
+				emit(trace.KindTxLogAdd, strand, base+arg*8, arg%24+1)
 			}
 		}
 		emit(trace.KindEnd, 0, 0, 0)
@@ -69,7 +77,7 @@ func FuzzShardedVsInline(f *testing.F) {
 		}
 
 		live := NewSharded(cfg, 3)
-		sp := trace.NewShardedPipeline(live, live.ShardHandlers(), trace.PipelineOptions{Depth: 2})
+		sp := trace.NewPipeline(live, trace.PipelineOptions{Depth: 2, Shards: live.ShardHandlers()})
 		sp.HandleBatch(evs)
 		sp.Close()
 		if err := sp.Err(); err != nil {
@@ -77,6 +85,23 @@ func FuzzShardedVsInline(f *testing.F) {
 		}
 		if got := live.Report().Summary(); got != want {
 			t.Fatalf("pipeline-delivered sharded report differs\n--- sequential ---\n%s\n--- sharded ---\n%s",
+				want, got)
+		}
+
+		if got := ReplayParallel(evs, cfg, 3).Summary(); got != want {
+			t.Fatalf("offline parallel replay differs\n--- sequential ---\n%s\n--- parallel ---\n%s",
+				want, got)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteTrace(&buf, evs); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := ReplayStream(&buf, cfg, 3)
+		if err != nil {
+			t.Fatalf("ReplayStream: %v", err)
+		}
+		if got := streamed.Summary(); got != want {
+			t.Fatalf("offline stream replay differs\n--- sequential ---\n%s\n--- streamed ---\n%s",
 				want, got)
 		}
 	})

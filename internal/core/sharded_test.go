@@ -63,7 +63,7 @@ func TestShardedDetectorMatchesSequential(t *testing.T) {
 }
 
 // TestShardedDetectorViaShardedPipeline is the live-delivery differential:
-// the same trace pushed through a trace.ShardedPipeline into the detector's
+// the same trace pushed through a routed trace.Pipeline into the detector's
 // ShardHandlers — per-shard consumer goroutines and all — must still merge
 // to the byte-identical sequential report.
 func TestShardedDetectorViaShardedPipeline(t *testing.T) {
@@ -72,7 +72,7 @@ func TestShardedDetectorViaShardedPipeline(t *testing.T) {
 	seq := sequentialReport(rec.Events, cfg)
 	for _, lazy := range []bool{false, true} {
 		sd := NewSharded(cfg, 4)
-		sp := trace.NewShardedPipeline(sd, sd.ShardHandlers(), trace.PipelineOptions{Lazy: lazy})
+		sp := trace.NewPipeline(sd, trace.PipelineOptions{Lazy: lazy, Shards: sd.ShardHandlers()})
 		sp.HandleBatch(rec.Events)
 		sp.Close()
 		if err := sp.Err(); err != nil {
@@ -128,7 +128,7 @@ func TestShardedPanicBecomesReportFailure(t *testing.T) {
 	// would, inside the shard handler's guard.
 	sd.handlers[1].(*shardHandler).det = nil
 
-	sp := trace.NewShardedPipeline(sd, sd.ShardHandlers(), trace.PipelineOptions{})
+	sp := trace.NewPipeline(sd, trace.PipelineOptions{Shards: sd.ShardHandlers()})
 	sp.HandleBatch(rec.Events)
 	sp.Sync()
 	sp.Close()
@@ -170,20 +170,5 @@ func TestShardedPanicSurvivesPoolEnd(t *testing.T) {
 	sum := sd.Report().Summary()
 	if !strings.Contains(sum, "detection failure") || !strings.Contains(sum, "shard 1/2") {
 		t.Fatalf("broken shard not surfaced:\n%s", sum)
-	}
-}
-
-// TestShardedCountersMerge checks the live counter view sums every shard.
-func TestShardedCountersMerge(t *testing.T) {
-	rec := recordStrandTrace(t, 40)
-	cfg := Config{Model: rules.Strand}
-	sd := NewSharded(cfg, 4)
-	sd.HandleBatch(rec.Events)
-	d := New(cfg)
-	for _, ev := range rec.Events {
-		d.HandleEvent(ev)
-	}
-	if got, want := sd.Counters(), d.Counters(); got != want {
-		t.Fatalf("merged live counters %+v != sequential %+v", got, want)
 	}
 }

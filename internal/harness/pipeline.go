@@ -16,11 +16,11 @@ import (
 
 // This file measures the asynchronous detection pipeline: the same live
 // workload with PMDebugger attached inline (detection under the pool lock,
-// on the application threads), attached through a single-consumer
+// on the application threads), attached through a one-ring
 // trace.Pipeline (emission stages a slab entry; detection is deferred to
-// drain points), and attached through a trace.ShardedPipeline (the staged
-// events fan out to one detector engine per strand shard, so the deferred
-// analysis runs on several cores). The paper's headline metric is live
+// drain points), and attached through a strand-routed trace.Pipeline (the
+// staged events fan out to one detector engine per strand shard, so the
+// deferred analysis runs on several cores). The paper's headline metric is live
 // instrumentation slowdown, so each run is split into two timed phases:
 //
 //   - live: the workload exercises the cache/server. Inline, every
@@ -168,7 +168,7 @@ func verifyPipelineDelivery(w pipelineWorkload, ops, shards int) (uint64, error)
 
 	for _, lazy := range []bool{false, true} {
 		det := core.New(core.Config{Model: w.model})
-		pipe := trace.NewPipelineOpts(det, trace.PipelineOptions{Lazy: lazy})
+		pipe := trace.NewPipeline(det, trace.PipelineOptions{Lazy: lazy})
 		for _, ev := range rec.Events {
 			pipe.HandleEvent(ev)
 		}
@@ -183,21 +183,16 @@ func verifyPipelineDelivery(w pipelineWorkload, ops, shards int) (uint64, error)
 		}
 	}
 
-	// Sharded delivery — through the real fan-out when the configuration
-	// shards, through the single-consumer fallback otherwise. Either way
-	// the report must match inline byte for byte.
+	// Sharded delivery — through the strand router when the configuration
+	// shards, through one ring otherwise. Either way the report must match
+	// inline byte for byte.
 	sd := core.NewSharded(core.Config{Model: w.model}, shards)
-	var conduit trace.Conduit
-	if hs := sd.ShardHandlers(); len(hs) > 1 {
-		conduit = trace.NewShardedPipeline(sd, hs, trace.PipelineOptions{Lazy: true})
-	} else {
-		conduit = trace.NewPipelineOpts(sd, trace.PipelineOptions{Lazy: true})
-	}
+	pipe := trace.NewPipeline(sd, trace.PipelineOptions{Lazy: true, Shards: sd.ShardHandlers()})
 	for _, ev := range rec.Events {
-		conduit.HandleEvent(ev)
+		pipe.HandleEvent(ev)
 	}
-	conduit.Close()
-	if err := conduit.Err(); err != nil {
+	pipe.Close()
+	if err := pipe.Err(); err != nil {
 		return 0, fmt.Errorf("pipeline: sharded delivery failed: %w", err)
 	}
 	if got := sd.Report().Summary(); got != want {

@@ -116,25 +116,20 @@ type Pool struct {
 	pagePrivate int
 
 	handlers trace.MultiHandler
-	// conduits tracks the asynchronous delivery conduits — single-consumer
-	// trace.Pipelines and fan-out trace.ShardedPipelines — created by
-	// asynchronous attaches (they also appear in handlers). The pool
-	// drains them at every point where handler state becomes observable:
-	// crash traps, crash images, event counts, detach and program end. For
-	// a sharded conduit the drain is a full-shard barrier, so
-	// drain-before-trap covers every shard.
-	conduits []trace.Conduit
+	// conduits tracks the pipelines created by asynchronous attaches (they
+	// also appear in handlers). The pool drains them at every point where
+	// handler state becomes observable: crash traps, crash images, event
+	// counts, detach and program end. For a routed pipeline the drain is a
+	// barrier across every shard, so drain-before-trap covers every shard.
+	conduits []*trace.Pipeline
 	// fastPipe enables the zero-copy emission path: when the only attached
-	// handler is a pipeline (the async-benchmark shape), hot-path emitters
-	// construct each event directly in the pipeline's staging slab instead
-	// of copying it through emitLocked and the handler fan-out. Nil
-	// whenever any other handler is attached or a crash trap is armed.
+	// handler is a pipeline (the async-benchmark shape), the strand-local
+	// hot-path emitters construct each event directly in its ring's staging
+	// slab instead of copying it through emitLocked and the handler
+	// fan-out. Nil whenever any other handler is attached or a crash trap
+	// is armed.
 	fastPipe *trace.Pipeline
-	// fastShard is the sharded twin of fastPipe: the sole handler is a
-	// ShardedPipeline, and the strand-local hot paths stage events
-	// directly in the strand's shard slab.
-	fastShard *trace.ShardedPipeline
-	seq       uint64
+	seq      uint64
 	// trapAfter, when non-zero, makes the pool panic with CrashTrap once
 	// seq reaches it — the injection point for systematic crash testing
 	// (package crashtest).
@@ -213,9 +208,9 @@ type AttachOptions struct {
 	Lazy bool
 	// Shards, with Async, fans delivery out across per-strand detector
 	// shards: when the handler implements trace.Sharder and advertises at
-	// least 2 shard handlers, the pool builds a trace.ShardedPipeline (one
+	// least 2 shard handlers, the pipeline routes by strand across one
 	// consumer goroutine and one ring per shard, each ring with
-	// PipelineDepth slabs). Handlers that cannot shard — including a
+	// PipelineDepth slabs. Handlers that cannot shard — including a
 	// core.ShardedDetector whose configuration is not core.Shardable —
 	// fall back to a single-consumer pipeline, and the fallback is counted
 	// in Stats.ShardedFallbacks so it is never silent. Shards <= 1 means
@@ -251,24 +246,18 @@ func (p *Pool) AttachWith(h trace.Handler, opts AttachOptions) *trace.Pipeline {
 			Depth: opts.PipelineDepth,
 			Lazy:  opts.Lazy,
 		}
-		var conduit trace.Conduit
+		if sh, ok := h.(trace.Sharder); ok && opts.Shards > 1 {
+			popts.Shards = sh.ShardHandlers()
+		}
+		pipe = trace.NewPipeline(h, popts)
 		if opts.Shards > 1 {
 			p.stats.ShardedAttaches++
-			if sh, ok := h.(trace.Sharder); ok {
-				if hs := sh.ShardHandlers(); len(hs) > 1 {
-					conduit = trace.NewShardedPipeline(h, hs, popts)
-				}
-			}
-			if conduit == nil {
+			if pipe.Shards() == 1 {
 				p.stats.ShardedFallbacks++
 			}
 		}
-		if conduit == nil {
-			pipe = trace.NewPipelineOpts(h, popts)
-			conduit = pipe
-		}
-		p.conduits = append(p.conduits, conduit)
-		target = conduit
+		p.conduits = append(p.conduits, pipe)
+		target = pipe
 	}
 	if opts.ReplayRegions {
 		p.replayRegionsLocked(target)
@@ -288,16 +277,11 @@ func (p *Pool) AttachWith(h trace.Handler, opts AttachOptions) *trace.Pipeline {
 // armed, so the generic path keeps handling fan-out and trap delivery.
 // Callers hold p.mu.
 func (p *Pool) refreshFastPathLocked() {
-	p.fastPipe, p.fastShard = nil, nil
+	p.fastPipe = nil
 	if p.trapAfter != 0 || len(p.handlers) != 1 {
 		return
 	}
-	switch t := p.handlers[0].(type) {
-	case *trace.Pipeline:
-		p.fastPipe = t
-	case *trace.ShardedPipeline:
-		p.fastShard = t
-	}
+	p.fastPipe, _ = p.handlers[0].(*trace.Pipeline)
 }
 
 // replayRegionsLocked delivers synthetic Register events for the pool and
@@ -336,13 +320,11 @@ func (p *Pool) Detach(h trace.Handler) {
 		}
 	}
 	p.refreshFastPathLocked()
-	if conduit, ok := target.(trace.Conduit); ok {
-		for i, cur := range p.conduits {
-			if cur == conduit {
-				p.conduits = append(p.conduits[:i], p.conduits[i+1:]...)
-				conduit.Close()
-				return
-			}
+	for i, cur := range p.conduits {
+		if cur == target {
+			p.conduits = append(p.conduits[:i], p.conduits[i+1:]...)
+			cur.Close()
+			return
 		}
 	}
 }
@@ -394,9 +376,10 @@ func (p *Pool) emitLocked(ev trace.Event) {
 	}
 }
 
-// syncLocked drains every attached conduit so asynchronous handlers have
-// consumed all events emitted so far — for sharded conduits this is a
-// full-shard barrier, so crash traps and program end wait on every shard.
+// syncLocked drains every attached pipeline so asynchronous handlers have
+// consumed all events emitted so far — for a routed pipeline this is a
+// barrier across every shard, so crash traps and program end wait on every
+// shard.
 // Callers hold p.mu; pipeline consumers never re-enter the pool, so
 // waiting under the lock cannot deadlock.
 func (p *Pool) syncLocked() {
@@ -542,18 +525,9 @@ func (p *Pool) storeTailLocked(addr, size uint64, strand, thread int32, site tra
 	p.stats.BytesStored += size
 	p.markStoredLines(p.off(addr)/LineSize, p.off(addr+size-1)/LineSize)
 	if fp := p.fastPipe; fp != nil {
-		// Zero-copy: construct the event in the staging slab itself.
+		// Zero-copy: construct the event in its ring's staging slab itself.
 		p.seq++
-		*fp.Slot() = trace.Event{
-			Seq: p.seq, Kind: trace.KindStore, Addr: addr, Size: size,
-			Strand: strand, Thread: thread, Site: site,
-		}
-		return
-	}
-	if fs := p.fastShard; fs != nil {
-		// Zero-copy into the strand's shard slab: stores are strand-local.
-		p.seq++
-		*fs.StrandSlot(strand) = trace.Event{
+		*fp.StrandSlot(strand) = trace.Event{
 			Seq: p.seq, Kind: trace.KindStore, Addr: addr, Size: size,
 			Strand: strand, Thread: thread, Site: site,
 		}
@@ -575,16 +549,7 @@ func (p *Pool) flushLocked(addr, size uint64, kind trace.FlushKind, strand, thre
 	p.stageLines(p.off(span.Addr)/LineSize, p.off(span.End()-1)/LineSize)
 	if fp := p.fastPipe; fp != nil {
 		p.seq++
-		*fp.Slot() = trace.Event{
-			Seq: p.seq, Kind: trace.KindFlush, Flush: kind,
-			Addr: span.Addr, Size: span.Size,
-			Strand: strand, Thread: thread, Site: site,
-		}
-		return
-	}
-	if fs := p.fastShard; fs != nil {
-		p.seq++
-		*fs.StrandSlot(strand) = trace.Event{
+		*fp.StrandSlot(strand) = trace.Event{
 			Seq: p.seq, Kind: trace.KindFlush, Flush: kind,
 			Addr: span.Addr, Size: span.Size,
 			Strand: strand, Thread: thread, Site: site,
@@ -605,14 +570,7 @@ func (p *Pool) fenceLocked(strand, thread int32) {
 	p.commitPending()
 	if fp := p.fastPipe; fp != nil {
 		p.seq++
-		*fp.Slot() = trace.Event{
-			Seq: p.seq, Kind: trace.KindFence, Strand: strand, Thread: thread,
-		}
-		return
-	}
-	if fs := p.fastShard; fs != nil {
-		p.seq++
-		*fs.StrandSlot(strand) = trace.Event{
+		*fp.StrandSlot(strand) = trace.Event{
 			Seq: p.seq, Kind: trace.KindFence, Strand: strand, Thread: thread,
 		}
 		return

@@ -30,7 +30,7 @@ func driveStrands(p *Pool, n int) {
 
 // TestShardedAttachReportEquality is the pool-level differential: a
 // ShardedDetector attached with AttachOptions.Shards — per-shard consumer
-// goroutines, zero-copy fastShard staging and all — must report exactly
+// goroutines, zero-copy StrandSlot staging and all — must report exactly
 // what an inline engine reports for the same program, in both drain
 // disciplines.
 func TestShardedAttachReportEquality(t *testing.T) {
@@ -50,8 +50,8 @@ func TestShardedAttachReportEquality(t *testing.T) {
 		p := New(1 << 20)
 		sd := core.NewSharded(strandCfg(), 4)
 		pipe := p.AttachWith(sd, AttachOptions{Async: true, Lazy: lazy, Shards: 4})
-		if pipe != nil {
-			t.Fatalf("lazy=%v: sharded attach returned a single pipeline", lazy)
+		if pipe == nil || pipe.Shards() != 4 {
+			t.Fatalf("lazy=%v: sharded attach did not return a 4-shard pipeline", lazy)
 		}
 		if sd.Fallback() {
 			t.Fatalf("lazy=%v: unexpected fallback: %s", lazy, sd.FallbackReason())
@@ -180,7 +180,7 @@ func TestShardedCrashTrapDrainsAllShards(t *testing.T) {
 }
 
 // TestShardedDetachClosesConduit checks Detach by the composite handler
-// resolves and closes the sharded conduit.
+// resolves and closes the sharded pipeline.
 func TestShardedDetachClosesConduit(t *testing.T) {
 	p := New(1 << 20)
 	sd := core.NewSharded(strandCfg(), 2)
@@ -192,33 +192,33 @@ func TestShardedDetachClosesConduit(t *testing.T) {
 			len(p.handlers), len(p.conduits))
 	}
 	// Detach drained before closing: the detector saw the whole stream.
-	if c := sd.Counters(); c.Stores != 50 {
+	if c := sd.Report().Counters; c.Stores != 50 {
 		t.Fatalf("detector saw %d stores before detach, want 50", c.Stores)
 	}
 	// The pool keeps working with the conduit gone.
 	driveStrands(p, 10)
 }
 
-// TestShardedFastPathEngaged checks the zero-copy fastShard path is active
-// exactly when the sharded conduit is the sole handler and no trap is
+// TestShardedFastPathEngaged checks the zero-copy fast path is active
+// exactly when the sharded pipeline is the sole handler and no trap is
 // armed.
 func TestShardedFastPathEngaged(t *testing.T) {
 	p := New(1 << 20)
 	sd := core.NewSharded(strandCfg(), 2)
-	p.AttachWith(sd, AttachOptions{Async: true, Shards: 2})
-	if p.fastShard == nil {
-		t.Fatal("fastShard not engaged for a sole sharded conduit")
+	pipe := p.AttachWith(sd, AttachOptions{Async: true, Shards: 2})
+	if p.fastPipe != pipe {
+		t.Fatal("fast path not engaged for a sole sharded pipeline")
 	}
 	p.SetCrashTrap(1 << 40)
-	if p.fastShard != nil {
-		t.Fatal("fastShard still engaged with a trap armed")
+	if p.fastPipe != nil {
+		t.Fatal("fast path still engaged with a trap armed")
 	}
 	p.SetCrashTrap(0)
-	if p.fastShard == nil {
-		t.Fatal("fastShard not re-engaged after the trap cleared")
+	if p.fastPipe != pipe {
+		t.Fatal("fast path not re-engaged after the trap cleared")
 	}
 	p.Attach(trace.NewRecorder(16))
-	if p.fastShard != nil {
-		t.Fatal("fastShard still engaged with a second handler attached")
+	if p.fastPipe != nil {
+		t.Fatal("fast path still engaged with a second handler attached")
 	}
 }

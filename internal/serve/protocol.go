@@ -53,7 +53,7 @@ type Hello struct {
 	// Drain selects the session's drain discipline (DrainEager default).
 	Drain string
 	// Shards asks for a sharded detector session: when the model permits
-	// partition-safe delivery (core.Shardable), the session fans out across
+	// strand-sharded delivery (core.Shardable), the session fans out across
 	// this many per-strand engines; otherwise it degrades — loudly, in the
 	// session record — to a single engine.
 	Shards int

@@ -303,6 +303,53 @@ func TestCorruptStream(t *testing.T) {
 	}
 }
 
+// TestImpossibleRecordFailsOnlyItsSession: one record whose range wraps
+// past 2^64 — which a detector would index as about 2^64 cache lines —
+// fails its own session with a decode error before any detector sees it,
+// while a tenant streaming concurrently still gets the offline report byte
+// for byte.
+func TestImpossibleRecordFailsOnlyItsSession(t *testing.T) {
+	raw, model := recordTrace(t, true, false, 300)
+	opt := Options{Tenant: "good", Model: model}
+	want, err := Offline(bytes.NewReader(raw), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, Config{})
+
+	good, err := Dial(srv.Addr(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil, err := Dial(srv.Addr(), Options{Tenant: "evil", Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(evs) / 2
+	good.HandleBatch(evs[:half])
+	evil.HandleBatch(evs[:10])
+	evil.HandleEvent(trace.Event{Seq: 1 << 40, Kind: trace.KindStore, Addr: 1<<64 - 8, Size: 16})
+	body, err := evil.Report()
+	if err == nil || !strings.Contains(body, "wraps past 2^64") {
+		t.Fatalf("evil session: err %v, report %q; want a failed session naming the wrapping record", err, body)
+	}
+	good.HandleBatch(evs[half:])
+	got, err := good.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want.Summary() {
+		t.Fatalf("concurrent tenant's report differs from offline replay:\n%s\nvs\n%s", got, want.Summary())
+	}
+	if m := srv.MetricsSnapshot(); m.DecodeErrors != 1 {
+		t.Fatalf("decode_errors = %d, want 1", m.DecodeErrors)
+	}
+}
+
 // readLine reads one LF-terminated line without buffering past it.
 func readLine(r io.Reader) (string, error) {
 	var sb strings.Builder

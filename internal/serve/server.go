@@ -256,11 +256,11 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// meteredSink hands decoded batches to the session's conduit, counting
+// meteredSink hands decoded batches to the session's pipeline, counting
 // events and the time spent staging them (which includes any blocking on a
 // full slab ring — the backpressure signal /metrics exposes).
 type meteredSink struct {
-	c    trace.Conduit
+	c    *trace.Pipeline
 	sess *session
 	srv  *Server
 }
@@ -315,12 +315,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	n, streamErr := trace.StreamTrace(br, &meteredSink{c: eng.conduit, sess: sess, srv: s})
+	n, streamErr := trace.StreamTrace(br, &meteredSink{c: eng.pipe, sess: sess, srv: s})
 	rep, failed := eng.finalize(streamErr)
 	if streamErr != nil {
 		s.decodeErrs.Add(1)
 	}
-	if eng.conduit.Err() != nil {
+	if eng.pipe.Err() != nil {
 		s.panics.Add(1)
 	}
 	var sessErr error
@@ -357,7 +357,7 @@ func (s *Server) register(hs Hello, eng engine) *session {
 		id:       fmt.Sprintf("%s-%d", hs.Tenant, s.nextID),
 		tenant:   hs.Tenant,
 		hello:    hs,
-		shards:   eng.shards,
+		shards:   eng.pipe.Shards(),
 		fallback: eng.fallback,
 		state:    "active",
 	}
@@ -398,56 +398,44 @@ func (s *Server) finish(sess *session, rep *report.Report, err error) {
 	s.active.Add(-1)
 }
 
-// engine bundles a session's detector with its delivery conduit.
+// engine bundles a session's detector with its delivery pipeline.
 type engine struct {
 	det      baselines.Detector
-	conduit  trace.Conduit
-	shards   int
+	pipe     *trace.Pipeline
 	fallback string // why a sharded request degraded ("" when it did not)
 }
 
-// buildEngine constructs the detector + conduit a handshake asks for: a
-// sharded fan-out (core.NewSharded + trace.ShardedPipeline) when the
-// client requested shards and the configuration is partition-safe, a
-// single engine behind a trace.Pipeline otherwise. The drain discipline
-// (eager/lazy) applies to every pipeline consumer. Offline uses the same
-// constructor, which is what makes served reports comparable byte for byte
-// with offline replays.
+// buildEngine constructs the detector + pipeline a handshake asks for: a
+// core.NewSharded detector behind a strand-routed pipeline when the client
+// requested shards (one ring when the configuration does not shard), a
+// single engine behind a one-ring pipeline otherwise. The drain discipline
+// (eager/lazy) applies to every ring. Offline uses the same constructor,
+// which is what makes served reports comparable byte for byte with offline
+// replays.
 func buildEngine(hs Hello, factory func(rules.Model) baselines.Detector, depth int) engine {
 	popts := trace.PipelineOptions{Lazy: hs.Drain == DrainLazy, Depth: depth}
-	if factory != nil {
-		det := factory(hs.Model)
-		return engine{det: det, conduit: trace.NewPipelineOpts(det, popts), shards: 1}
+	var det baselines.Detector
+	var fallback string
+	switch {
+	case factory != nil:
+		det = factory(hs.Model)
+	case hs.Shards > 1:
+		sd := core.NewSharded(core.Config{Model: hs.Model}, hs.Shards)
+		det, fallback, popts.Shards = sd, sd.FallbackReason(), sd.ShardHandlers()
+	default:
+		det = core.New(core.Config{Model: hs.Model})
 	}
-	cfg := core.Config{Model: hs.Model}
-	if hs.Shards > 1 {
-		sd := core.NewSharded(cfg, hs.Shards)
-		if handlers := sd.ShardHandlers(); len(handlers) > 1 {
-			return engine{
-				det:     sd,
-				conduit: trace.NewShardedPipeline(sd, handlers, popts),
-				shards:  sd.Shards(),
-			}
-		}
-		return engine{
-			det:      sd,
-			conduit:  trace.NewPipelineOpts(sd, popts),
-			shards:   1,
-			fallback: sd.FallbackReason(),
-		}
-	}
-	det := core.New(cfg)
-	return engine{det: det, conduit: trace.NewPipelineOpts(det, popts), shards: 1}
+	return engine{det: det, pipe: trace.NewPipeline(det, popts), fallback: fallback}
 }
 
-// finalize closes the conduit and produces the session's report. A handler
+// finalize closes the pipeline and produces the session's report. A handler
 // panic caught by the pipeline poisons the session: the detector's state is
 // unknown, so its report is replaced by a report.Failure. A stream error
 // (truncated/corrupt trace, disconnect) keeps the partial report but marks
 // it failed with a failure entry.
 func (e engine) finalize(streamErr error) (rep *report.Report, failed bool) {
-	e.conduit.Close()
-	if perr := e.conduit.Err(); perr != nil {
+	e.pipe.Close()
+	if perr := e.pipe.Err(); perr != nil {
 		rep = report.New(e.det.Name())
 		rep.AddFailure(fmt.Sprintf("session poisoned: %v", perr))
 		if streamErr != nil {
@@ -482,7 +470,7 @@ func (e engine) finalize(streamErr error) (rep *report.Report, failed bool) {
 // Offline's summary of the same recorded trace.
 func Offline(r io.Reader, opt Options) (*report.Report, error) {
 	eng := buildEngine(opt.hello(), nil, 0)
-	_, streamErr := trace.StreamTrace(r, eng.conduit)
+	_, streamErr := trace.StreamTrace(r, eng.pipe)
 	rep, failed := eng.finalize(streamErr)
 	if streamErr != nil {
 		return rep, streamErr

@@ -173,7 +173,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 // batch is returned as soon as the buffered bytes run out, so a reader over
 // a live connection delivers events as they arrive instead of stalling
 // until a whole slab has buffered. It returns 0, io.EOF at a clean end of
-// stream and an error for a truncated or corrupt trace.
+// stream and an error for a truncated or corrupt trace. A record no emitter
+// produces (see checkRecord) is an error too: the events before it are
+// returned with the error, and the record itself is never consumed.
 func (tr *Reader) ReadBatch(dst []Event) (int, error) {
 	n := 0
 	for n < len(dst) {
@@ -188,10 +190,29 @@ func (tr *Reader) ReadBatch(dst []Event) (int, error) {
 			}
 		}
 		dst[n] = getEvent(tr.buf)
+		if err := checkRecord(&dst[n]); err != nil {
+			return n, err
+		}
 		tr.buf = tr.buf[recordSize:]
 		n++
 	}
 	return n, nil
+}
+
+// checkRecord rejects a decoded record that no emitter produces: an
+// unknown kind, which a strand router would treat as global and drain
+// every shard for, or a range whose end wraps past 2^64 (the test
+// pmem.Pool applies to every access), which would send the detector's
+// cache-line index walking about 2^64 lines.
+func checkRecord(ev *Event) error {
+	switch {
+	case ev.Kind > KindEnd:
+		return fmt.Errorf("trace: corrupt record (seq %d): unknown kind %d", ev.Seq, uint8(ev.Kind))
+	case ev.Addr+ev.Size < ev.Addr:
+		return fmt.Errorf("trace: corrupt record (seq %d): range [%#x,+%#x) wraps past 2^64",
+			ev.Seq, ev.Addr, ev.Size)
+	}
+	return nil
 }
 
 // fill reads the next run of whole records from the underlying reader. It

@@ -268,3 +268,95 @@ func TestMultiHandlerBatchFastPath(t *testing.T) {
 		t.Fatal("ReplayEvents through MultiHandler lost events")
 	}
 }
+
+// TestReaderRejectsImpossibleRecords: a record whose range wraps past 2^64
+// or whose kind is past KindEnd is a decode error. The events before it
+// are delivered, the record itself is never consumed, and StreamTrace stops
+// there instead of handing it to a detector.
+func TestReaderRejectsImpossibleRecords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  Event
+		want string
+	}{
+		{"wrapping-store", Event{Seq: 3, Kind: KindStore, Addr: 1<<64 - 8, Size: 16}, "wraps past 2^64"},
+		{"flush-ending-at-2^64", Event{Seq: 3, Kind: KindFlush, Addr: 1<<64 - 64, Size: 64}, "wraps past 2^64"},
+		{"unknown-kind", Event{Seq: 3, Kind: KindEnd + 1}, "unknown kind"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw := encode(t, append(mkEncTrace(2), c.bad, Event{Seq: 4, Kind: KindFence}))
+			tr, err := NewReader(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]Event, 8)
+			n, err := tr.ReadBatch(dst)
+			if n != 2 || err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadBatch = %d, %v; want the 2 good events and a %q error", n, err, c.want)
+			}
+			if n, err := tr.ReadBatch(dst); n != 0 || err == nil {
+				t.Fatalf("ReadBatch after the error = %d, %v; want the error again", n, err)
+			}
+			tr.Close()
+
+			var got []Event
+			total, err := StreamTrace(bytes.NewReader(raw), HandlerFunc(func(ev Event) { got = append(got, ev) }))
+			if total != 2 || len(got) != 2 || err == nil {
+				t.Fatalf("StreamTrace delivered %d events, err %v; want 2 and an error", total, err)
+			}
+		})
+	}
+}
+
+// FuzzReader feeds arbitrary bytes after the magic to the decoder.
+// ReadBatch must never panic, and every call either fails or returns events
+// that re-encode to exactly the bytes it consumed — each of a known kind,
+// with a range that does not wrap. A clean EOF means every byte was
+// consumed.
+func FuzzReader(f *testing.F) {
+	record := func(ev Event) []byte {
+		b := make([]byte, recordSize)
+		putEvent(b, ev)
+		return b
+	}
+	good := record(Event{Seq: 1, Kind: KindStore, Addr: 0x1000, Size: 8, Strand: 2, Site: 5})
+	f.Add(good)
+	f.Add(append(record(Event{Seq: 1, Kind: KindRegister, Addr: 0x1000, Size: 1 << 20}),
+		record(Event{Seq: 2, Kind: KindStore, Addr: 1<<64 - 8, Size: 16})...))
+	f.Add(append(record(Event{Seq: 1, Kind: KindEnd + 1}), good...))
+	f.Add(append(append([]byte{}, good...), good[:recordSize/2]...))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		tr, err := NewReader(bytes.NewReader(append(traceMagic[:], body...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		dst := make([]Event, 3) // small, so one input takes several calls
+		buf := make([]byte, recordSize)
+		consumed := 0
+		for {
+			n, err := tr.ReadBatch(dst)
+			for _, ev := range dst[:n] {
+				if ev.Kind > KindEnd || ev.Addr+ev.Size < ev.Addr {
+					t.Fatalf("decoded an impossible event %v", ev)
+				}
+				putEvent(buf, ev)
+				if end := consumed + recordSize; end > len(body) || !bytes.Equal(buf, body[consumed:end]) {
+					t.Fatalf("event %v does not re-encode to the bytes at offset %d", ev, consumed)
+				}
+				consumed += recordSize
+			}
+			switch {
+			case err == io.EOF:
+				if consumed != len(body) {
+					t.Fatalf("clean EOF after %d of %d bytes", consumed, len(body))
+				}
+				return
+			case err != nil:
+				return
+			case n == 0:
+				t.Fatal("ReadBatch returned no events and no error")
+			}
+		}
+	})
+}

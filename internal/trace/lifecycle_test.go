@@ -15,7 +15,7 @@ import (
 func TestPipelineSyncAfterCloseReturns(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		h := &collectHandler{}
-		p := NewPipelineOpts(h, PipelineOptions{Lazy: lazy})
+		p := NewPipeline(h, PipelineOptions{Lazy: lazy})
 		p.HandleBatch(mkEvents(10))
 		p.Close()
 		done := make(chan struct{})
@@ -46,10 +46,10 @@ func TestPipelineUseAfterClosePanics(t *testing.T) {
 		}()
 		f()
 	}
-	p := NewPipeline(&collectHandler{})
+	p := NewPipeline(&collectHandler{}, PipelineOptions{})
 	p.HandleEvent(Event{Seq: 1})
 	p.Close()
-	mustPanic("Slot", func() { p.Slot() })
+	mustPanic("StrandSlot", func() { p.StrandSlot(0) })
 	mustPanic("HandleEvent", func() { p.HandleEvent(Event{Seq: 2}) })
 	mustPanic("HandleBatch", func() { p.HandleBatch(mkEvents(3)) })
 }
@@ -71,7 +71,7 @@ func (h *panicAfterHandler) HandleEvent(ev Event) {
 func TestPipelineHandlerPanicDoesNotDeadlock(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		h := &panicAfterHandler{limit: DefaultBatchSize / 2}
-		p := NewPipelineOpts(h, PipelineOptions{Depth: 2, Lazy: lazy})
+		p := NewPipeline(h, PipelineOptions{Depth: 2, Lazy: lazy})
 		// Several times the ring's capacity: if the consumer stopped
 		// recycling slabs after the panic, the producer would block here.
 		for _, ev := range mkEvents(8 * DefaultBatchSize) {
@@ -90,7 +90,7 @@ func TestPipelineHandlerPanicDoesNotDeadlock(t *testing.T) {
 
 func TestPipelineErrNilOnHealthyRun(t *testing.T) {
 	h := &collectHandler{}
-	p := NewPipeline(h)
+	p := NewPipeline(h, PipelineOptions{})
 	p.HandleBatch(mkEvents(100))
 	p.Close()
 	if err := p.Err(); err != nil {

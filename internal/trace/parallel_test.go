@@ -1,11 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
 
-// mkStrandTrace builds a partitionable strand trace: nStrands strands, each
+// mkStrandTrace builds a strand trace with no global events: nStrands strands, each
 // with a begin/store/flush/fence/end section, interleaved round-robin.
 func mkStrandTrace(nStrands int, withJoins bool) []Event {
 	var evs []Event
@@ -33,36 +34,36 @@ func mkStrandTrace(nStrands int, withJoins bool) []Event {
 	return evs
 }
 
+// TestPartitionByStrandRouting checks the partition a routed Pipeline
+// makes against its properties rather than a reference: original order
+// within each shard, joins and End dropped, every strand-local event on
+// its strand's shard exactly once, and the register broadcast first.
 func TestPartitionByStrandRouting(t *testing.T) {
 	evs := mkStrandTrace(8, true)
-	parts, err := PartitionByStrand(evs, PartitionOptions{Shards: 3, DropJoins: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("got %d partitions, want 3", len(parts))
-	}
+	sp, hs := newShardedCollectors(3, PipelineOptions{})
+	sp.HandleBatch(evs)
+	sp.Close()
 	total := 0
-	for _, p := range parts {
+	for shard, h := range hs {
 		var lastSeq uint64
-		for _, ev := range p.Events {
+		for _, ev := range h.events {
 			if ev.Seq <= lastSeq {
-				t.Fatalf("shard %d: events out of order (%d after %d)", p.Shard, ev.Seq, lastSeq)
+				t.Fatalf("shard %d: events out of order (%d after %d)", shard, ev.Seq, lastSeq)
 			}
 			lastSeq = ev.Seq
 			switch ev.Kind {
 			case KindRegister, KindUnregister:
 				continue // broadcast: appears in every shard
 			case KindJoinStrand, KindEnd:
-				t.Fatalf("shard %d: kind %s should have been dropped", p.Shard, ev.Kind)
+				t.Fatalf("shard %d: kind %s should have been dropped", shard, ev.Kind)
 			}
-			if got := int(uint32(ev.Strand) % 3); got != p.Shard {
-				t.Fatalf("strand %d event landed in shard %d", ev.Strand, p.Shard)
+			if got := int(uint32(ev.Strand) % 3); got != shard {
+				t.Fatalf("strand %d event landed in shard %d", ev.Strand, shard)
 			}
 			total++
 		}
-		if p.Events[0].Kind != KindRegister {
-			t.Fatalf("shard %d: register event not broadcast first", p.Shard)
+		if h.events[0].Kind != KindRegister {
+			t.Fatalf("shard %d: register event not broadcast first", shard)
 		}
 	}
 	// All strand-local events accounted for exactly once.
@@ -78,58 +79,30 @@ func TestPartitionByStrandRouting(t *testing.T) {
 	}
 }
 
-func TestPartitionByStrandRejectsGlobalKinds(t *testing.T) {
-	base := mkStrandTrace(2, false)
-	for _, k := range []Kind{KindEpochBegin, KindEpochEnd, KindTxLogAdd} {
-		evs := append(append([]Event{}, base...), Event{Seq: 9999, Kind: k})
-		if _, err := PartitionByStrand(evs, PartitionOptions{Shards: 2, DropJoins: true}); err == nil {
-			t.Errorf("kind %s: partitioning should fail", k)
-		}
-	}
-	// Joins are rejected unless explicitly dropped.
-	joined := mkStrandTrace(2, true)
-	if _, err := PartitionByStrand(joined, PartitionOptions{Shards: 2}); err == nil {
-		t.Error("joins without DropJoins: partitioning should fail")
-	}
-	if !PartitionSafe(joined, PartitionOptions{DropJoins: true}) {
-		t.Error("joins with DropJoins: trace should be partition-safe")
-	}
-}
-
-func TestPartitionByStrandOneShardPerStrand(t *testing.T) {
-	evs := mkStrandTrace(4, false)
-	parts, err := PartitionByStrand(evs, PartitionOptions{Shards: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 4 {
-		t.Fatalf("got %d partitions, want 4 (one per strand)", len(parts))
-	}
-	for i := 1; i < len(parts); i++ {
-		if parts[i-1].Shard >= parts[i].Shard {
-			t.Fatalf("partitions not in ascending shard order: %d then %d",
-				parts[i-1].Shard, parts[i].Shard)
-		}
-	}
-}
-
+// TestParallelReplayDeliversEveryEvent replays an encoded trace the way
+// offline parallel replay does — StreamTrace feeding a routed Pipeline —
+// and checks every strand-local event reaches exactly one shard and the
+// register reaches all of them.
 func TestParallelReplayDeliversEveryEvent(t *testing.T) {
 	evs := mkStrandTrace(16, true)
-	handlers, err := ParallelReplay(evs, 4, PartitionOptions{Shards: 4, DropJoins: true},
-		func(p Partition) Handler { return NewRecorder(len(p.Events)) })
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, evs); err != nil {
 		t.Fatal(err)
 	}
-	// Re-merging the shard recordings by Seq must reproduce the original
-	// strand-local subsequence.
-	var merged []Event
-	for _, h := range handlers {
-		rec := h.(*Recorder)
-		merged = append(merged, rec.Events...)
+	recs := make([]Handler, 4)
+	for i := range recs {
+		recs[i] = NewRecorder(0)
 	}
+	pipe := NewPipeline(MultiHandler(recs), PipelineOptions{Shards: recs})
+	if _, err := StreamTrace(&buf, pipe); err != nil {
+		t.Fatal(err)
+	}
+	pipe.Close()
 	seen := map[uint64]int{}
-	for _, ev := range merged {
-		seen[ev.Seq]++
+	for _, h := range recs {
+		for _, ev := range h.(*Recorder).Events {
+			seen[ev.Seq]++
+		}
 	}
 	for _, ev := range evs {
 		switch ev.Kind {
@@ -138,8 +111,8 @@ func TestParallelReplayDeliversEveryEvent(t *testing.T) {
 				t.Fatalf("event %v delivered %d times, want 1", ev, seen[ev.Seq])
 			}
 		case KindRegister:
-			if seen[ev.Seq] != len(handlers) {
-				t.Fatalf("register event broadcast to %d shards, want %d", seen[ev.Seq], len(handlers))
+			if seen[ev.Seq] != len(recs) {
+				t.Fatalf("register event broadcast to %d shards, want %d", seen[ev.Seq], len(recs))
 			}
 		}
 	}

@@ -2,14 +2,16 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 )
 
-// Pipeline is a bounded, double-buffered batch conduit between an event
-// producer and a Handler: the producer's HandleEvent appends the 40-byte
-// event into the current staging slab — a memcpy, nothing more — and full
-// slabs are handed through a bounded ring to a single consumer goroutine
-// that drives the handler's batch fast path.
+// Pipeline is the asynchronous delivery conduit between an event producer
+// and detection: the producer's HandleEvent appends the 40-byte event into
+// a staging slab — a memcpy, nothing more — and full slabs are handed
+// through a bounded ring to a consumer goroutine that drives the handler's
+// batch fast path. A pipeline owns one ring (slab queue plus consumer
+// goroutine) per shard.
 //
 // It exists to take detection off the instrumented program's critical path
 // (§7.2's live-instrumentation slowdowns): attached inline, a detector's
@@ -17,45 +19,275 @@ import (
 // global mutex on the application thread, so multi-threaded workloads fully
 // serialize behind bookkeeping. Attached through a Pipeline, the application
 // thread pays only the slab append and detection overlaps with execution on
-// the consumer goroutine.
+// the consumer goroutines.
+//
+// With fewer than two shard handlers (PipelineOptions.Shards) the pipeline
+// is a single ring that forwards every event verbatim to its handler. With
+// two or more, it routes the stream across one ring per shard handler by
+// the strand rules of Route, so an N-thread strand workload gets N cores of
+// detection; each shard handler observes exactly its strand subsequence.
+// Offline parallel replay is the same router fed by a trace reader.
 //
 // Correctness anchors:
 //
-//   - Ordering. Slabs travel through a FIFO channel and a single consumer
-//     delivers them, so the handler observes the exact sequence the producer
-//     appended — for a pmem.Pool that is the pool-serialized, Seq-stamped
-//     stream, and reports are byte-identical to inline delivery.
-//   - Bounded memory. The ring recycles depth slabs of DefaultBatchSize
-//     events; when the consumer falls behind, HandleEvent blocks on the next
+//   - Ordering. Slabs travel through a FIFO channel and one consumer per
+//     ring delivers them, so each handler observes the exact sequence the
+//     producer appended for it — for a pmem.Pool that is the
+//     pool-serialized, Seq-stamped stream, and reports are byte-identical
+//     to inline delivery.
+//   - Bounded memory. Each ring recycles depth slabs of DefaultBatchSize
+//     events; when a consumer falls behind, the producer blocks on the next
 //     free slab (backpressure) instead of growing a queue.
-//   - Sync barrier. Sync returns only after every event appended
-//     before the call has been delivered to the handler; the pool invokes it
+//   - Sync barrier. Sync returns only after every event appended before
+//     the call has been delivered to its handler; the pool invokes it
 //     before crash-trap panics, crash-image snapshots and final checks.
 //
-// The producer side (HandleEvent, HandleBatch, Sync, Close) must be
-// externally serialized — the emitting pool's mutex already provides this.
-// The handler runs on the consumer goroutine and must not call back into
-// the producer while it holds that serialization (the pool's detectors
+// The producer side (HandleEvent, HandleBatch, StrandSlot, Sync, Close)
+// must be externally serialized — the emitting pool's mutex already
+// provides this. Handlers run on consumer goroutines and must not call back
+// into the producer while it holds that serialization (the pool's detectors
 // never do).
 //
-// Two drain disciplines are available (Options.Lazy):
+// Two drain disciplines are available (PipelineOptions.Lazy):
 //
-//   - Eager (default): the consumer drains slabs as they arrive, so
-//     detection overlaps execution on another core. The right choice when a
-//     spare core exists.
-//   - Lazy: the consumer parks and slabs accumulate in the ring; analysis
-//     runs when Sync or Close demands it, or when the ring runs out of
+//   - Eager (default): consumers drain slabs as they arrive, so detection
+//     overlaps execution on another core. The right choice when a spare
+//     core exists.
+//   - Lazy: consumers park and slabs accumulate in the rings; analysis
+//     runs when Sync or Close demands it, or when a ring runs out of
 //     recycled slabs. This is the tracing-then-analysis decoupling of
 //     offline-trace debuggers (WITCHER's architecture): on a machine with no
-//     spare core it keeps the consumer entirely off the CPU during the
+//     spare core it keeps the consumers entirely off the CPU during the
 //     application's live phase instead of time-slicing against it. Delivery
 //     order and reports are identical in both disciplines.
 type Pipeline struct {
+	h     Handler
+	rings []*ring
+	waits []<-chan struct{} // reused by Sync and Close to wait on every ring
+	one   [1]Event          // HandleEvent's batch of one on a routed pipeline
+}
+
+// Sharder is implemented by handlers that can split themselves into
+// independent per-shard consumers for strand-routed delivery. ShardHandlers
+// returns one handler per shard; a nil (or single-element) slice means the
+// handler cannot shard, and a pipeline built from it is a single ring
+// around the Sharder itself.
+type Sharder interface {
+	Handler
+	ShardHandlers() []Handler
+}
+
+// DefaultPipelineDepth is the default number of slabs in a ring. With
+// DefaultBatchSize 40-byte events per slab each ring stays within a couple
+// of megabytes while giving its consumer enough runway to absorb emission
+// bursts.
+const DefaultPipelineDepth = 8
+
+// PipelineOptions configures NewPipeline.
+type PipelineOptions struct {
+	// Depth is the number of slabs in each ring (0 = DefaultPipelineDepth,
+	// minimum 2: one slab staging while one drains — the double buffer).
+	Depth int
+	// Lazy selects the deferred drain discipline: consumers park until
+	// Sync/Close or ring exhaustion instead of draining as slabs arrive.
+	Lazy bool
+	// Shards, when it holds two or more handlers, gives the pipeline one
+	// ring per handler and routes events to them by strand (Route). Fewer
+	// than two means one ring delivering everything to the pipeline's own
+	// handler.
+	Shards []Handler
+}
+
+// NewPipeline starts a pipeline delivering to h, or to opts.Shards when it
+// holds at least two handlers (h then only identifies the pipeline; see
+// Handler).
+func NewPipeline(h Handler, opts PipelineOptions) *Pipeline {
+	targets := opts.Shards
+	if len(targets) < 2 {
+		targets = []Handler{h}
+	}
+	p := &Pipeline{
+		h:     h,
+		rings: make([]*ring, len(targets)),
+		waits: make([]<-chan struct{}, len(targets)),
+	}
+	for i, t := range targets {
+		p.rings[i] = newRing(t, opts)
+	}
+	return p
+}
+
+// Handler returns the handler the pipeline was built for, so an owner
+// holding only the pipeline can identify (and detach by) the wrapped
+// consumer.
+func (p *Pipeline) Handler() Handler { return p.h }
+
+// Shards returns the number of rings: 1 unless the pipeline routes.
+func (p *Pipeline) Shards() int { return len(p.rings) }
+
+// StrandSlot is the zero-copy producer path: it hands out an in-place
+// pointer to the next staging slot of the strand's ring, shipping that
+// ring's previous slab first when it is full. The caller must assign every
+// field of the returned Event before its next call into the pipeline, and
+// must only use it for strand-local event kinds (store, flush, fence,
+// strand begin/end) — everything else goes through HandleEvent so it is
+// routed.
+func (p *Pipeline) StrandSlot(strand int32) *Event {
+	r := p.rings[0]
+	if n := uint32(len(p.rings)); n > 1 {
+		r = p.rings[uint32(strand)%n]
+	}
+	return r.slot()
+}
+
+// HandleEvent implements Handler: it stages ev, handing slabs to the
+// consumers as they fill. It never runs a handler itself.
+func (p *Pipeline) HandleEvent(ev Event) {
+	if len(p.rings) == 1 {
+		p.rings[0].HandleEvent(ev)
+		return
+	}
+	p.one[0] = ev
+	Route(p.one[:], p.rings, p.Sync)
+}
+
+// HandleBatch implements BatchHandler by staging the whole slice.
+func (p *Pipeline) HandleBatch(evs []Event) {
+	if len(p.rings) == 1 {
+		p.rings[0].HandleBatch(evs)
+		return
+	}
+	Route(evs, p.rings, p.Sync)
+}
+
+// Sync blocks until every event passed to the pipeline before the call has
+// been delivered to its handler. Events keep their original order across
+// the barrier. The markers post to every ring before waiting on any, so
+// lazy rings drain concurrently. After Close, Sync returns immediately: the
+// close already drained everything.
+func (p *Pipeline) Sync() {
+	for i, r := range p.rings {
+		p.waits[i] = r.syncBegin()
+	}
+	for _, c := range p.waits {
+		<-c
+	}
+}
+
+// Close drains every ring and stops the consumer goroutines, concurrently,
+// returning once each handler has seen every staged event. Close is
+// idempotent; after it returns, Sync is a no-op and HandleEvent,
+// HandleBatch and StrandSlot panic.
+func (p *Pipeline) Close() {
+	for i, r := range p.rings {
+		p.waits[i] = r.closeBegin()
+	}
+	for _, c := range p.waits {
+		<-c
+	}
+}
+
+// Err returns the panics handlers raised on the consumer goroutines, or
+// nil. Deliveries to a ring after its handler panicked are dropped (the
+// handler's state is unknown); the producer side keeps working so the
+// owning program can reach its own error handling instead of deadlocking.
+// Call after a barrier (Sync/Close) for a definitive answer.
+func (p *Pipeline) Err() error {
+	var msgs []string
+	for i, r := range p.rings {
+		if msg := r.fail.Load(); msg != nil {
+			shard := ""
+			if len(p.rings) > 1 {
+				shard = fmt.Sprintf("shard %d ", i)
+			}
+			msgs = append(msgs, shard+"handler panicked: "+*msg)
+		}
+	}
+	if msgs == nil {
+		return nil
+	}
+	return fmt.Errorf("trace: pipeline %s", strings.Join(msgs, "; "))
+}
+
+// Route delivers evs to shards by the strand routing rules, the one place
+// they are written. Strands are the strand persistency model's independent
+// persist paths (§5.1): the detector keeps a separate bookkeeping space per
+// strand and no built-in rule other than programmer-supplied cross-strand
+// order requirements correlates records across strands, so a strand-model
+// stream split this way reports exactly what one detector reports.
+//
+//   - Strand-local kinds (Store/Flush/Fence/StrandBegin/StrandEnd) go to
+//     shard uint32(strand) % len(shards). Runs of consecutive same-strand
+//     events go in one call, so the routing cost amortizes away.
+//   - Register/Unregister go to every shard (idempotent region
+//     bookkeeping).
+//   - JoinStrand and End are dropped: joins are inert without order specs,
+//     and shard detectors finalize at Report time.
+//   - Every other kind (epoch boundaries, TxLogAdd) is global: barrier, when
+//     non-nil, drains every shard first, and then the event goes to every
+//     shard, so each shard observes it at the same stream position a
+//     sequential consumer would. Configurations where these events
+//     influence reports do not shard in the first place (core.Shardable);
+//     the barrier keeps the delivery order principled rather than
+//     load-bearing.
+func Route[S BatchHandler](evs []Event, shards []S, barrier func()) {
+	n := uint32(len(shards))
+	for i := 0; i < len(evs); {
+		switch classify(evs[i].Kind) {
+		case classStrandLocal:
+			strand := evs[i].Strand
+			j := i + 1
+			for j < len(evs) && classify(evs[j].Kind) == classStrandLocal && evs[j].Strand == strand {
+				j++
+			}
+			shards[uint32(strand)%n].HandleBatch(evs[i:j])
+			i = j
+			continue
+		case classGlobal:
+			if barrier != nil {
+				barrier()
+			}
+			fallthrough
+		case classBroadcast:
+			for _, s := range shards {
+				s.HandleBatch(evs[i : i+1])
+			}
+		}
+		i++ // a single dropped, broadcast or global event
+	}
+}
+
+// routeClass is an event kind's routing class (see Route).
+type routeClass uint8
+
+const (
+	classStrandLocal routeClass = iota // to the strand's shard
+	classBroadcast                     // to every shard
+	classDropped                       // to no shard
+	classGlobal                        // barrier, then to every shard
+)
+
+func classify(k Kind) routeClass {
+	switch k {
+	case KindStore, KindFlush, KindFence, KindStrandBegin, KindStrandEnd:
+		return classStrandLocal
+	case KindRegister, KindUnregister:
+		return classBroadcast
+	case KindJoinStrand, KindEnd:
+		return classDropped
+	default:
+		return classGlobal
+	}
+}
+
+// ring is one bounded, double-buffered slab queue with its consumer
+// goroutine delivering to a single handler.
+type ring struct {
 	h  Handler
 	bh BatchHandler // non-nil when h implements the batch fast path
 
 	// cur is the staging slab, always full-length; n is the fill cursor.
-	// Producers write events in place at cur[n] (Slot) so an event is
+	// Producers write events in place at cur[n] (slot) so an event is
 	// stored exactly once, with no intermediate copies.
 	cur  []Event
 	n    int
@@ -74,7 +306,7 @@ type Pipeline struct {
 	// set, the consumer stops delivering (the handler's internal state is
 	// unknown) but keeps recycling slabs and closing sync markers, so the
 	// producer, Sync and Close never block on a dead consumer. Written by
-	// the consumer, read by anyone via Err.
+	// the consumer, read by anyone via Pipeline.Err.
 	fail atomic.Pointer[string]
 }
 
@@ -84,35 +316,7 @@ type slabMsg struct {
 	sync chan struct{} // when non-nil, closed once all prior slabs drained
 }
 
-// DefaultPipelineDepth is the default number of slabs in the ring. With
-// DefaultBatchSize 40-byte events per slab the whole pipeline stays within a
-// couple of megabytes while giving the consumer enough runway to absorb
-// emission bursts.
-const DefaultPipelineDepth = 8
-
-// PipelineOptions configures NewPipelineOpts.
-type PipelineOptions struct {
-	// Depth is the number of slabs in the ring (0 = DefaultPipelineDepth,
-	// minimum 2: one slab staging while one drains — the double buffer).
-	Depth int
-	// Lazy selects the deferred drain discipline: the consumer parks until
-	// Sync/Close or ring exhaustion instead of draining as slabs arrive.
-	Lazy bool
-}
-
-// NewPipeline starts a pipeline delivering to h with DefaultPipelineDepth
-// slabs.
-func NewPipeline(h Handler) *Pipeline {
-	return NewPipelineOpts(h, PipelineOptions{})
-}
-
-// NewPipelineDepth starts a pipeline with the given ring depth.
-func NewPipelineDepth(h Handler, depth int) *Pipeline {
-	return NewPipelineOpts(h, PipelineOptions{Depth: depth})
-}
-
-// NewPipelineOpts starts a pipeline with explicit options.
-func NewPipelineOpts(h Handler, opts PipelineOptions) *Pipeline {
+func newRing(h Handler, opts PipelineOptions) *ring {
 	depth := opts.Depth
 	if depth == 0 {
 		depth = DefaultPipelineDepth
@@ -120,7 +324,7 @@ func NewPipelineOpts(h Handler, opts PipelineOptions) *Pipeline {
 	if depth < 2 {
 		depth = 2
 	}
-	p := &Pipeline{
+	r := &ring{
 		h:    h,
 		full: make(chan slabMsg, depth),
 		free: make(chan []Event, depth),
@@ -129,7 +333,7 @@ func NewPipelineOpts(h Handler, opts PipelineOptions) *Pipeline {
 		kick: make(chan struct{}, 1),
 	}
 	if bh, ok := h.(BatchHandler); ok {
-		p.bh = bh
+		r.bh = bh
 	}
 	for i := 0; i < depth; i++ {
 		slab := make([]Event, DefaultBatchSize)
@@ -139,51 +343,39 @@ func NewPipelineOpts(h Handler, opts PipelineOptions) *Pipeline {
 		for j := range slab {
 			slab[j].Seq = 1
 		}
-		p.free <- slab
+		r.free <- slab
 	}
-	p.cur = <-p.free
-	go p.consume()
-	return p
+	r.cur = <-r.free
+	go r.consume()
+	return r
 }
 
-// Handler returns the handler the pipeline delivers to, so an owner holding
-// only the pipeline can identify (and detach by) the wrapped consumer.
-func (p *Pipeline) Handler() Handler { return p.h }
-
-// Slot hands out an in-place pointer to the next staging slot, shipping the
-// previous slab first when it is full. The caller must assign every field
-// of the returned Event before its next call into the pipeline — this is
-// the zero-copy producer path: the event is constructed directly in the
-// slab, never copied through a call chain.
-func (p *Pipeline) Slot() *Event {
-	if p.closed {
+// slot hands out an in-place pointer to the next staging slot, shipping
+// the previous slab first when it is full.
+func (r *ring) slot() *Event {
+	if r.closed {
 		panic("trace: Pipeline used after Close")
 	}
-	if p.n == len(p.cur) {
-		p.handoff()
+	if r.n == len(r.cur) {
+		r.handoff()
 	}
-	s := &p.cur[p.n]
-	p.n++
+	s := &r.cur[r.n]
+	r.n++
 	return s
 }
 
-// HandleEvent implements Handler: it stages ev in the current slab, handing
-// the slab to the consumer when it fills. It never runs the handler itself.
-func (p *Pipeline) HandleEvent(ev Event) {
-	*p.Slot() = ev
-}
+func (r *ring) HandleEvent(ev Event) { *r.slot() = ev }
 
-// HandleBatch implements BatchHandler by staging the whole slice.
-func (p *Pipeline) HandleBatch(evs []Event) {
-	if p.closed {
+func (r *ring) HandleBatch(evs []Event) {
+	if r.closed {
 		panic("trace: Pipeline used after Close")
 	}
 	for len(evs) > 0 {
-		if p.n == len(p.cur) {
-			p.handoff()
+		if r.n == len(r.cur) {
+			r.handoff()
 		}
-		n := copy(p.cur[p.n:], evs)
-		p.n += n
+		n := copy(r.cur[r.n:], evs)
+		r.n += n
 		evs = evs[n:]
 	}
 }
@@ -192,107 +384,83 @@ func (p *Pipeline) HandleBatch(evs []Event) {
 // blocking when the consumer is behind — the constant-memory backpressure.
 // A full ring wakes a lazy consumer first, so backpressure degrades into
 // concurrent draining rather than deadlock.
-func (p *Pipeline) handoff() {
-	if p.n == 0 {
+func (r *ring) handoff() {
+	if r.n == 0 {
 		return
 	}
-	// Never blocks: at most depth slabs exist, one is in p.cur, so the full
+	// Never blocks: at most depth slabs exist, one is in r.cur, so the full
 	// ring holds at most depth-1 of them (plus at most one in-flight sync
 	// marker, which occupies the slot the staged slab frees).
-	p.full <- slabMsg{evs: p.cur[:p.n]}
+	r.full <- slabMsg{evs: r.cur[:r.n]}
 	select {
-	case p.cur = <-p.free:
+	case r.cur = <-r.free:
 	default:
-		p.wake() // no recycled slab ready: the consumer must drain now
-		p.cur = <-p.free
+		r.wake() // no recycled slab ready: the consumer must drain now
+		r.cur = <-r.free
 	}
-	p.n = 0
+	r.n = 0
 }
 
 // wake nudges a parked lazy consumer; it is a no-op when a wake is already
-// pending or the pipeline is eager (an eager consumer never parks).
-func (p *Pipeline) wake() {
-	if !p.lazy {
+// pending or the ring is eager (an eager consumer never parks).
+func (r *ring) wake() {
+	if !r.lazy {
 		return
 	}
 	select {
-	case p.kick <- struct{}{}:
+	case r.kick <- struct{}{}:
 	default:
 	}
 }
 
-// Sync blocks until every event passed to HandleEvent/HandleBatch before
-// the call has been delivered to the handler. Events keep their original
-// order across the barrier. After Close, Sync returns immediately: the
-// close already drained everything.
-func (p *Pipeline) Sync() {
-	<-p.syncBegin()
-}
-
-// syncBegin posts the sync marker and returns the channel the consumer
-// closes once every prior event has been delivered, without waiting. A
-// fan-out owner uses it to post barriers to all its shard pipelines before
-// waiting on any, so lazy shards drain concurrently instead of one by one.
-// At most one marker may be in flight per pipeline (the producer side is
+// syncBegin posts a sync marker and returns the channel the consumer
+// closes once every prior event has been delivered, without waiting. At
+// most one marker may be in flight per ring (the producer side is
 // externally serialized, so posting the next after receiving the previous
-// preserves this).
-func (p *Pipeline) syncBegin() <-chan struct{} {
+// preserves this). After close it returns a closed channel.
+func (r *ring) syncBegin() <-chan struct{} {
 	c := make(chan struct{})
-	if p.closed {
+	if r.closed {
 		close(c)
 		return c
 	}
-	p.handoff()
-	p.full <- slabMsg{sync: c}
-	p.wake()
+	r.handoff()
+	r.full <- slabMsg{sync: c}
+	r.wake()
 	return c
 }
 
-// Close drains the pipeline and stops the consumer goroutine, returning
-// once the handler has seen every staged event. Close is idempotent; after
-// it returns, Sync is a no-op and HandleEvent/HandleBatch/Slot panic.
-func (p *Pipeline) Close() {
-	<-p.closeBegin()
-}
-
 // closeBegin initiates the close and returns the channel that closes when
-// the consumer has drained; the fan-out owner closes all shard pipelines
-// concurrently through it. Idempotent: a second call just returns the done
-// channel.
-func (p *Pipeline) closeBegin() <-chan struct{} {
-	if !p.closed {
-		p.closed = true
-		p.handoff()
-		close(p.full)
-		p.wake()
+// the consumer has drained. Idempotent: a second call just returns the
+// done channel.
+func (r *ring) closeBegin() <-chan struct{} {
+	if !r.closed {
+		r.closed = true
+		r.handoff()
+		close(r.full)
+		r.wake()
 	}
-	return p.done
+	return r.done
 }
 
-// Err returns the panic a handler raised on the consumer goroutine, or nil.
-// Deliveries after a handler panic are dropped (the handler's state is
-// unknown); the producer side keeps working so the owning program can reach
-// its own error handling instead of deadlocking. Call after a barrier
-// (Sync/Close) for a definitive answer.
-func (p *Pipeline) Err() error {
-	if msg := p.fail.Load(); msg != nil {
-		return fmt.Errorf("trace: pipeline handler panicked: %s", *msg)
+// consume is the ring's single consumer: it drains slabs in FIFO order,
+// drives the handler's batch fast path, and recycles each slab into the
+// free ring. A lazy consumer starts parked: slabs the producer stages
+// before this goroutine is first scheduled wait for a demand like any
+// others.
+func (r *ring) consume() {
+	defer close(r.done)
+	if r.lazy {
+		<-r.kick
 	}
-	return nil
-}
-
-// consume is the single consumer: it drains slabs in FIFO order, drives the
-// handler's batch fast path, and recycles each slab into the free ring.
-func (p *Pipeline) consume() {
-	defer close(p.done)
 	for {
-		msg, ok := p.next()
+		msg, ok := r.next()
 		if !ok {
 			return
 		}
 		if msg.evs != nil {
-			p.deliver(msg.evs)
-			p.free <- msg.evs[:cap(msg.evs)] // restore full length for reuse
+			r.deliver(msg.evs)
+			r.free <- msg.evs[:cap(msg.evs)] // restore full length for reuse
 		}
 		if msg.sync != nil {
 			close(msg.sync)
@@ -303,21 +471,21 @@ func (p *Pipeline) consume() {
 // deliver runs the handler on one slab, catching handler panics so a buggy
 // detector cannot wedge the ring: the slab is still recycled and sync
 // markers still close, only delivery stops.
-func (p *Pipeline) deliver(evs []Event) {
-	if p.fail.Load() != nil {
+func (r *ring) deliver(evs []Event) {
+	if r.fail.Load() != nil {
 		return // poisoned: drop, keep the ring moving
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			msg := fmt.Sprintf("%v", r)
-			p.fail.Store(&msg)
+		if v := recover(); v != nil {
+			msg := fmt.Sprintf("%v", v)
+			r.fail.Store(&msg)
 		}
 	}()
-	if p.bh != nil {
-		p.bh.HandleBatch(evs)
+	if r.bh != nil {
+		r.bh.HandleBatch(evs)
 	} else {
 		for _, ev := range evs {
-			p.h.HandleEvent(ev)
+			r.h.HandleEvent(ev)
 		}
 	}
 }
@@ -327,17 +495,17 @@ func (p *Pipeline) deliver(evs []Event) {
 // consumes no CPU until a drain is demanded. Wakers enqueue their demand
 // (slab, marker, or channel close) before kicking, so a kick received here
 // always finds it in the ring.
-func (p *Pipeline) next() (slabMsg, bool) {
-	if !p.lazy {
-		msg, ok := <-p.full
+func (r *ring) next() (slabMsg, bool) {
+	if !r.lazy {
+		msg, ok := <-r.full
 		return msg, ok
 	}
 	for {
 		select {
-		case msg, ok := <-p.full:
+		case msg, ok := <-r.full:
 			return msg, ok
 		default:
-			<-p.kick // drained: park until the next demand
+			<-r.kick // drained: park until the next demand
 		}
 	}
 }

@@ -54,7 +54,7 @@ func checkStream(t *testing.T, got []Event, n int) {
 func TestPipelineDeliversInOrder(t *testing.T) {
 	const n = 3*DefaultBatchSize + 17 // full slabs plus a partial tail
 	h := &collectHandler{}
-	p := NewPipeline(h)
+	p := NewPipeline(h, PipelineOptions{})
 	for _, ev := range mkEvents(n) {
 		p.HandleEvent(ev)
 	}
@@ -68,7 +68,7 @@ func TestPipelineDeliversInOrder(t *testing.T) {
 func TestPipelineEventOnlyFallback(t *testing.T) {
 	const n = DefaultBatchSize + 5
 	h := &eventOnlyHandler{}
-	p := NewPipelineDepth(h, 2)
+	p := NewPipeline(h, PipelineOptions{Depth: 2})
 	p.HandleBatch(mkEvents(n))
 	p.Close()
 	checkStream(t, h.events, n)
@@ -77,7 +77,7 @@ func TestPipelineEventOnlyFallback(t *testing.T) {
 func TestPipelineSyncBarrier(t *testing.T) {
 	var delivered atomic.Int64
 	h := HandlerFunc(func(Event) { delivered.Add(1) })
-	p := NewPipeline(h)
+	p := NewPipeline(h, PipelineOptions{})
 	appended := int64(0)
 	for round := 1; round <= 3; round++ {
 		for _, ev := range mkEvents(DefaultBatchSize/2 + round) {
@@ -96,7 +96,7 @@ func TestPipelineSyncBarrier(t *testing.T) {
 func TestPipelineSyncMidStream(t *testing.T) {
 	var delivered atomic.Int64
 	h := HandlerFunc(func(Event) { delivered.Add(1) })
-	p := NewPipeline(h)
+	p := NewPipeline(h, PipelineOptions{})
 	for i, ev := range mkEvents(10 * DefaultBatchSize) {
 		p.HandleEvent(ev)
 		if i%997 == 0 {
@@ -117,7 +117,7 @@ func TestPipelineSyncMidStream(t *testing.T) {
 // 2 full slabs + the staging slab can be in flight.
 func TestPipelineBackpressure(t *testing.T) {
 	h := &collectHandler{stall: make(chan struct{})}
-	p := NewPipelineDepth(h, 2)
+	p := NewPipeline(h, PipelineOptions{Depth: 2})
 
 	blocked := make(chan struct{})
 	go func() {
@@ -146,7 +146,7 @@ func TestPipelineBackpressure(t *testing.T) {
 
 func TestPipelineCloseIdempotent(t *testing.T) {
 	h := &collectHandler{}
-	p := NewPipeline(h)
+	p := NewPipeline(h, PipelineOptions{})
 	p.HandleEvent(Event{Seq: 1, Kind: KindStore, Addr: 0x1000, Size: 8})
 	p.Close()
 	p.Close() // second close is a no-op
@@ -158,7 +158,7 @@ func TestPipelineCloseIdempotent(t *testing.T) {
 func TestPipelineLazyDefersUntilSync(t *testing.T) {
 	var delivered atomic.Int64
 	h := HandlerFunc(func(Event) { delivered.Add(1) })
-	p := NewPipelineOpts(h, PipelineOptions{Depth: 8, Lazy: true})
+	p := NewPipeline(h, PipelineOptions{Depth: 8, Lazy: true})
 	const n = 4 * DefaultBatchSize // fits in the ring with room to spare
 	for _, ev := range mkEvents(n) {
 		p.HandleEvent(ev)
@@ -177,7 +177,7 @@ func TestPipelineLazyDefersUntilSync(t *testing.T) {
 // producer wakes the parked consumer instead of deadlocking.
 func TestPipelineLazyRingExhaustion(t *testing.T) {
 	h := &collectHandler{}
-	p := NewPipelineOpts(h, PipelineOptions{Depth: 2, Lazy: true})
+	p := NewPipeline(h, PipelineOptions{Depth: 2, Lazy: true})
 	const n = 6 * DefaultBatchSize // three times the ring capacity
 	p.HandleBatch(mkEvents(n))
 	p.Close()
@@ -188,7 +188,7 @@ func TestPipelineLazyRingExhaustion(t *testing.T) {
 // lazy pipeline, including the partial staging slab.
 func TestPipelineLazyCloseDrains(t *testing.T) {
 	h := &collectHandler{}
-	p := NewPipelineOpts(h, PipelineOptions{Lazy: true})
+	p := NewPipeline(h, PipelineOptions{Lazy: true})
 	const n = 2*DefaultBatchSize + 31
 	for _, ev := range mkEvents(n) {
 		p.HandleEvent(ev)
@@ -202,7 +202,7 @@ func TestPipelineLazyCloseDrains(t *testing.T) {
 func TestPipelineLazyRepeatedSync(t *testing.T) {
 	var delivered atomic.Int64
 	h := HandlerFunc(func(Event) { delivered.Add(1) })
-	p := NewPipelineOpts(h, PipelineOptions{Lazy: true})
+	p := NewPipeline(h, PipelineOptions{Lazy: true})
 	appended := int64(0)
 	for round := 1; round <= 5; round++ {
 		for _, ev := range mkEvents(DefaultBatchSize + round) {
@@ -222,7 +222,7 @@ func TestPipelineLazyRepeatedSync(t *testing.T) {
 func TestPipelineRecorderEquivalence(t *testing.T) {
 	evs := mkEvents(2*DefaultBatchSize + 123)
 	rec := NewRecorder(len(evs))
-	p := NewPipeline(rec)
+	p := NewPipeline(rec, PipelineOptions{})
 	p.HandleBatch(evs)
 	p.Close()
 	if len(rec.Events) != len(evs) {
