@@ -470,15 +470,97 @@ func BenchmarkAblationCollectiveMetadata(b *testing.B) {
 	})
 }
 
+// hotPathKinds lists the shapes of the synthetic hot-path traces. Each
+// trace stresses one per-event cost the cache-line index and MRU probe
+// (core/index.go) remove: without them, every store's overlap query and
+// every CLF walks the whole fence interval's CLF-interval list, so the
+// per-event cost grows with the number of writebacks since the last fence.
+func hotPathKinds() []string {
+	return []string{"flush-overlap", "store-overwrite", "mru-locality"}
+}
+
+// hotPathTrace builds the named synthetic trace with the given number of
+// fence-delimited rounds.
+//
+//   - flush-overlap: overlapping stores per line, per-line flushes plus
+//     dispersed re-flushes of older lines and unflushed stragglers that
+//     redistribute at the fence — the flush/overlap-heavy shape of the
+//     acceptance microbench.
+//   - store-overwrite: a burst of line flushes builds many CLF intervals,
+//     then repeated overwrites of the same lines drive the
+//     multiple-overwrites overlap query.
+//   - mru-locality: the Fig. 2a common case — every store is flushed
+//     immediately, at CLF distance one.
+func hotPathTrace(kind string, rounds int) (*trace.Recorder, error) {
+	rec := trace.NewRecorder(1 << 16)
+	seq := uint64(0)
+	emit := func(k trace.Kind, addr, size uint64) {
+		seq++
+		rec.HandleEvent(trace.Event{Seq: seq, Kind: k, Addr: addr, Size: size})
+	}
+	const base = 0x4000_0000
+	switch kind {
+	case "flush-overlap":
+		const lines = 256
+		for r := 0; r < rounds; r++ {
+			for l := uint64(0); l < lines; l++ {
+				a := base + l*64
+				emit(trace.KindStore, a, 8)
+				emit(trace.KindStore, a+8, 8)
+				emit(trace.KindStore, a, 8) // overlaps: multiple-overwrites query
+				if l%8 != 7 {
+					emit(trace.KindFlush, a, 64)
+				}
+				if l%4 == 3 && l >= 16 {
+					// Dispersed re-flush far behind the MRU intervals.
+					emit(trace.KindFlush, base+(l-16)*64, 64)
+				}
+			}
+			emit(trace.KindFence, 0, 0)
+		}
+	case "store-overwrite":
+		const lines = 512
+		for r := 0; r < rounds; r++ {
+			for l := uint64(0); l < lines; l++ {
+				a := base + l*64
+				emit(trace.KindStore, a, 8)
+				emit(trace.KindFlush, a, 64)
+			}
+			for i := uint64(0); i < 2*lines; i++ {
+				emit(trace.KindStore, base+(i%lines)*64, 8)
+			}
+			// Collective flush over the whole window: the fence then drops
+			// every entry by metadata invalidation, so the round's cost is
+			// the overwrite overlap queries, not redistribution.
+			emit(trace.KindFlush, base, lines*64)
+			emit(trace.KindFence, 0, 0)
+		}
+	case "mru-locality":
+		const lines = 512
+		for r := 0; r < rounds; r++ {
+			for l := uint64(0); l < lines; l++ {
+				a := base + l*64
+				emit(trace.KindStore, a, 8)
+				emit(trace.KindFlush, a, 64)
+			}
+			emit(trace.KindFence, 0, 0)
+		}
+	default:
+		return nil, fmt.Errorf("unknown hot-path trace %q", kind)
+	}
+	emit(trace.KindEnd, 0, 0)
+	return rec, nil
+}
+
 // BenchmarkHotPath measures the detector's per-event hot loop on the three
-// synthetic traces of harness.HotPathTrace, with the cache-line index + MRU
+// synthetic traces of hotPathTrace, with the cache-line index + MRU
 // probe (indexed) and with the reference interval scan (scan,
 // Config.DisableIndex). Both modes first replay once and must produce
 // byte-identical reports; the indexed sub-benchmarks report their speedup
 // over an inline-measured scan baseline as speedup-x.
 func BenchmarkHotPath(b *testing.B) {
-	for _, kind := range harness.HotPathKinds() {
-		rec, err := harness.HotPathTrace(kind, 24)
+	for _, kind := range hotPathKinds() {
+		rec, err := hotPathTrace(kind, 24)
 		if err != nil {
 			b.Fatal(err)
 		}

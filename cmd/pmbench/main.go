@@ -3,77 +3,43 @@
 //
 // Usage:
 //
+//	pmbench -experiment table1        # qualitative comparison with existing work
 //	pmbench -experiment fig8          # slowdowns, micro-benchmarks + real workloads
 //	pmbench -experiment table5        # speedups over pmemcheck
 //	pmbench -experiment sota          # §7.2 XFDetector / PMTest comparison
 //	pmbench -experiment fig10         # memcached thread scalability
 //	pmbench -experiment fig11         # average AVL tree nodes per fence interval
 //	pmbench -experiment reorg         # §7.5 tree reorganization counts
-//	pmbench -experiment parallel      # sharded strand-trace replay speedup
-//	pmbench -experiment hotpath       # cache-line index vs interval-scan hot loop
 //	pmbench -experiment pipeline      # inline vs async-pipelined live detection
-//	pmbench -experiment crash         # crash-space exploration engine comparison
-//	pmbench -experiment serve         # pmserved under concurrent streaming clients
 //	pmbench -experiment all
 //
-// -scale shrinks or grows every operation count (default 1.0); absolute
-// numbers depend on the host, the paper's shape does not.
+// -n, -memops and -rediskeys size the workloads; absolute numbers depend
+// on the host, the paper's shape does not.
 //
-// `-experiment hotpath` and `-experiment pipeline` additionally honor -json
-// (write a BENCH_hotpath.json / BENCH_pipeline.json perf-trajectory
-// artifact), -out (artifact path override) and -minspeedup (exit non-zero
-// when the geometric-mean speedup falls below the bound — the CI smoke
-// gates). `-experiment pipeline` drives the multi-threaded memcached
-// workload with -threads application threads (default 4), which is also
-// the detector shard count for the sharded delivery rows; -minshardscale
-// additionally gates the geomean sharded drain scaling (only meaningful on
-// multi-core hosts — report equality across delivery modes is always a
-// hard error, independent of the gates).
+// `-experiment pipeline` additionally honors -json (write the
+// BENCH_pipeline.json perf-trajectory artifact), -out (artifact path
+// override) and -minspeedup (exit non-zero when the geometric-mean live
+// speedup falls below the bound — the CI smoke gate). It drives the
+// multi-threaded memcached workload with -threads application threads
+// (default 4), which is also the detector shard count for the sharded
+// delivery rows; -minshardscale additionally gates the geomean sharded
+// drain scaling (only meaningful on multi-core hosts — report equality
+// across delivery modes is always a hard error, independent of the
+// gates).
 //
-// `-experiment crash` honors the same -json/-out/-minspeedup flags (artifact
-// BENCH_crash.json) and is sized with -crashops, -crashstride and
-// -crashworkers; it compares exhaustive serial re-execution with the
-// record-once parallel explorer — with and without its reducers, and with
-// fork-parallel segmented dispatch — and fails when any engine's failure
-// set diverges from the serial reference or the reducers do not check
-// strictly fewer images. The pool-size sweep (16→1024 MiB) feeds the soft
-// gate -maxsnapdecay, which bounds the geomean decay of points/sec across
-// the sweep from above. The segment
-// sweep (1/2/4/8 segments per workload) feeds -minsegscale, which bounds
-// the geomean images/sec speedup at 4 segments over 1 from below — only
-// meaningful on multi-core hosts (at one CPU the segments time-slice and
-// the expected value is ~1x), so CI runs it as a soft gate.
-//
-// `-experiment serve` honors -json/-out (artifact BENCH_serve.json) and is
-// sized with -serveops (memslap operations per client), -servedrain and
-// -serveshards; it sweeps concurrent client counts {1,2,4,8} against a
-// fresh pmserved per measurement, verifying every tenant's served report
-// byte-identical to an offline replay before keeping a number.
-// -mineventrate bounds the best aggregate server-side events/sec from below
-// (host-dependent, so CI runs it as a soft gate).
+// The repository's own engines are measured elsewhere: end to end by the
+// pmledger benchmark (cmd/pmledger: crash-space exploration, served
+// detection) and per component by go test benchmarks (BenchmarkHotPath,
+// BenchmarkParallelReplay, BenchmarkDispatcher, BenchmarkCrashSnapshot).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"pmdebugger/internal/core"
 	"pmdebugger/internal/harness"
-	"pmdebugger/internal/rules"
-	"pmdebugger/internal/trace"
-	"pmdebugger/internal/workloads"
 )
-
-// hotpathOpts carries the hotpath experiment's artifact/gate flags.
-type hotpathOpts struct {
-	json       bool
-	out        string
-	minSpeedup float64
-	rounds     int
-}
 
 // pipelineOpts carries the pipeline experiment's artifact/gate flags.
 type pipelineOpts struct {
@@ -91,48 +57,28 @@ type pipelineOpts struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1, fig8, table5, sota, fig10, fig11, reorg, parallel, hotpath, pipeline, crash, serve, or all")
+		experiment = flag.String("experiment", "all", "table1, fig8, table5, sota, fig10, fig11, reorg, pipeline, or all")
 		inserts    = flag.Int("n", 10000, "micro-benchmark insert count (paper: 1K/10K/100K)")
 		memOps     = flag.Int("memops", 10000, "memcached operation count (paper: 10K-100K)")
 		redisKeys  = flag.Int("rediskeys", 10000, "redis LRU-test key count")
 		repeats    = flag.Int("repeats", 3, "runs per (benchmark, tool); the minimum time is kept")
-		jsonOut    = flag.Bool("json", false, "hotpath/pipeline: also write the JSON artifact")
-		outPath    = flag.String("out", "", "hotpath/pipeline: JSON artifact path override")
-		minSpeed   = flag.Float64("minspeedup", 0, "hotpath/pipeline: fail unless the geomean speedup >= this")
-		rounds     = flag.Int("rounds", 24, "hotpath: fence rounds per synthetic trace")
+		jsonOut    = flag.Bool("json", false, "pipeline: also write the JSON artifact")
+		outPath    = flag.String("out", "", "pipeline: JSON artifact path override")
+		minSpeed   = flag.Float64("minspeedup", 0, "pipeline: fail unless the geomean live speedup >= this")
 		threads    = flag.Int("threads", 4, "pipeline: memcached application threads (and detector shards)")
 		minShard   = flag.Float64("minshardscale", 0, "pipeline: fail unless the geomean sharded drain scaling >= this (multi-core hosts)")
-		crashOps   = flag.Int("crashops", 20, "crash: operations per crashed program")
-		crashStr   = flag.Int("crashstride", 3, "crash: event-boundary stride")
-		crashWrk   = flag.Int("crashworkers", 4, "crash: checker workers for the record-once engine")
-		maxDecay   = flag.Float64("maxsnapdecay", 0, "crash: fail if the geomean snapshot decay (cow points/sec, smallest over largest sweep size) exceeds this")
-		minSegScl  = flag.Float64("minsegscale", 0, "crash: fail unless the geomean images/sec speedup at 4 segments over 1 >= this (multi-core hosts)")
-		serveOps   = flag.Int("serveops", 2000, "serve: memslap operations per streaming client")
-		serveDrain = flag.String("servedrain", "lazy", "serve: session drain discipline, eager or lazy")
-		serveShard = flag.Int("serveshards", 4, "serve: per-session shard request (strand-model traces)")
-		minEvRate  = flag.Float64("mineventrate", 0, "serve: fail unless the best aggregate events/sec >= this")
 	)
 	flag.Parse()
 	harness.Repeats = *repeats
-	hp := hotpathOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed, rounds: *rounds}
 	pl := pipelineOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed,
 		minShardScale: *minShard, threads: *threads}
-	cr := crashOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed,
-		maxSnapDecay: *maxDecay, minSegScale: *minSegScl,
-		ops: *crashOps, stride: *crashStr, workers: *crashWrk,
-		sweepSizesMiB: []int{16, 64, 256, 1024}, sweepPoints: 16,
-		segCounts: []int{1, 2, 4, 8}, segGate: 4,
-		workloads: []string{"b_tree", "txpair", "redis"}}
-	sv := serveOpts{json: *jsonOut, out: *outPath, minEventRate: *minEvRate,
-		opsPerClient: *serveOps, clients: []int{1, 2, 4, 8},
-		drain: *serveDrain, shards: *serveShard}
-	if err := run(*experiment, *inserts, *memOps, *redisKeys, hp, pl, cr, sv); err != nil {
+	if err := run(*experiment, *inserts, *memOps, *redisKeys, pl); err != nil {
 		fmt.Fprintln(os.Stderr, "pmbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, inserts, memOps, redisKeys int, hp hotpathOpts, pl pipelineOpts, cr crashOpts, sv serveOpts) error {
+func run(experiment string, inserts, memOps, redisKeys int, pl pipelineOpts) error {
 	switch experiment {
 	case "table1":
 		return table1()
@@ -148,16 +94,8 @@ func run(experiment string, inserts, memOps, redisKeys int, hp hotpathOpts, pl p
 		return fig11(inserts, memOps, redisKeys)
 	case "reorg":
 		return reorg(inserts)
-	case "parallel":
-		return parallelReplay(inserts)
-	case "hotpath":
-		return hotpath(hp)
 	case "pipeline":
 		return pipelineExp(pl, memOps, redisKeys)
-	case "crash":
-		return crashExp(cr)
-	case "serve":
-		return serveExp(sv)
 	case "all":
 		for _, fn := range []func() error{
 			table1,
@@ -167,11 +105,7 @@ func run(experiment string, inserts, memOps, redisKeys int, hp hotpathOpts, pl p
 			func() error { return fig10(memOps) },
 			func() error { return fig11(inserts, memOps, redisKeys) },
 			func() error { return reorg(inserts) },
-			func() error { return parallelReplay(inserts) },
-			func() error { return hotpath(hp) },
 			func() error { return pipelineExp(pl, memOps, redisKeys) },
-			func() error { return crashExp(cr) },
-			func() error { return serveExp(sv) },
 		} {
 			if err := fn(); err != nil {
 				return err
@@ -300,85 +234,6 @@ func fig11(inserts, memOps, redisKeys int) error {
 		return err
 	}
 	fmt.Print(harness.FormatFig11(rows))
-	return nil
-}
-
-// parallelReplay records a synth_strand trace and replays it three ways —
-// per-event, batched, and sharded-parallel — printing replay throughput and
-// the speedup of each mode over the per-event baseline. The parallel report
-// is checked against the sequential one before timing anything.
-func parallelReplay(inserts int) error {
-	fmt.Println("\n=== Sharded parallel replay: synth_strand trace ===")
-	f, err := workloads.Lookup("synth_strand")
-	if err != nil {
-		return err
-	}
-	app, pm, err := workloads.Build(f, inserts)
-	if err != nil {
-		return err
-	}
-	rec := trace.NewRecorder(inserts * 16)
-	pm.Attach(rec)
-	if err := workloads.RunInserts(app, inserts, 42); err != nil {
-		return err
-	}
-	if err := app.Close(); err != nil {
-		return err
-	}
-	pm.End()
-
-	cfg := core.Config{Model: rules.Strand}
-	workers := runtime.GOMAXPROCS(0)
-
-	seqDet := core.New(cfg)
-	rec.Replay(seqDet)
-	want := seqDet.Report()
-	got := core.ReplayParallel(rec.Events, cfg, workers)
-	if want.Summary() != got.Summary() {
-		return fmt.Errorf("parallel report differs from sequential:\n--- sequential ---\n%s--- parallel ---\n%s",
-			want.Summary(), got.Summary())
-	}
-
-	modes := []struct {
-		name string
-		run  func()
-	}{
-		{"per-event", func() {
-			d := core.New(cfg)
-			for _, ev := range rec.Events {
-				d.HandleEvent(ev)
-			}
-			d.Report()
-		}},
-		{"batched", func() {
-			d := core.New(cfg)
-			trace.ReplayEvents(rec.Events, d)
-			d.Report()
-		}},
-		{fmt.Sprintf("parallel(%d)", workers), func() {
-			core.ReplayParallel(rec.Events, cfg, workers)
-		}},
-	}
-	fmt.Printf("trace: %d events (%d inserts), %d workers, reports identical\n",
-		rec.Len(), inserts, workers)
-	fmt.Printf("%-14s %12s %14s %10s\n", "mode", "time", "events/s", "speedup")
-	var base time.Duration
-	for _, m := range modes {
-		best := time.Duration(0)
-		for r := 0; r < harness.Repeats; r++ {
-			start := time.Now()
-			m.run()
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		if base == 0 {
-			base = best
-		}
-		rate := float64(rec.Len()) / best.Seconds()
-		fmt.Printf("%-14s %12s %14.0f %9.2fx\n", m.name, best.Round(time.Microsecond), rate,
-			float64(base)/float64(best))
-	}
 	return nil
 }
 

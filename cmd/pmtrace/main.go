@@ -229,7 +229,7 @@ func doReplay(path, detector, modelName string, parallel bool, workers int) erro
 	}
 	defer file.Close()
 	// Stream in pooled batches; detectors with a batch fast path use it.
-	if _, err := trace.StreamTrace(file, baselines.WithBatch(det)); err != nil {
+	if _, err := trace.StreamTrace(file, det); err != nil {
 		return err
 	}
 	fmt.Print(det.Report().Summary())

@@ -74,29 +74,3 @@ func (n *Nulgrind) HandleBatch(evs []trace.Event) {
 }
 
 var _ trace.BatchHandler = (*Nulgrind)(nil)
-
-// Batched adapts any detector to the batch replay interface with a
-// sequential shim: detectors whose bookkeeping has no batch fast path of
-// their own (the baseline reimplementations) still plug into batched and
-// streamed replay pipelines uniformly.
-type Batched struct {
-	Detector
-}
-
-// WithBatch wraps det so it implements trace.BatchHandler. A detector that
-// already has a native batch path is returned unchanged.
-func WithBatch(det Detector) Detector {
-	if _, ok := det.(trace.BatchHandler); ok {
-		return det
-	}
-	return Batched{Detector: det}
-}
-
-// HandleBatch delivers the batch one event at a time.
-func (b Batched) HandleBatch(evs []trace.Event) {
-	for i := range evs {
-		b.Detector.HandleEvent(evs[i])
-	}
-}
-
-var _ trace.BatchHandler = Batched{}

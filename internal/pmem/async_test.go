@@ -199,65 +199,6 @@ func TestAsyncCrashTrapDelivery(t *testing.T) {
 	}
 }
 
-// TestAttachReplayRegions attaches a late handler with ReplayRegions and
-// checks it receives synthetic Register events for the pool and every named
-// region, in name order, before the live stream resumes.
-func TestAttachReplayRegions(t *testing.T) {
-	p := New(1 << 20)
-	base := p.Base()
-	p.RegisterNamed("zeta", base+256, 16)
-	p.RegisterNamed("alpha", base+512, 32)
-	p.Ctx().Store64(base, 1)
-
-	rec := trace.NewRecorder(16)
-	p.AttachWith(rec, AttachOptions{ReplayRegions: true})
-
-	// Synthetic replays: pool-wide register, then named regions sorted by
-	// name, all with Seq 0; then the live attach Register with a real seq.
-	want := []struct {
-		addr, size uint64
-		name       string
-	}{
-		{base, p.Size(), "?"},
-		{base + 512, 32, "alpha"},
-		{base + 256, 16, "zeta"},
-	}
-	if rec.Len() < len(want)+1 {
-		t.Fatalf("recorder has %d events, want at least %d", rec.Len(), len(want)+1)
-	}
-	for i, w := range want {
-		ev := rec.Events[i]
-		if ev.Kind != trace.KindRegister || ev.Seq != 0 ||
-			ev.Addr != w.addr || ev.Size != w.size || ev.Site.String() != w.name {
-			t.Fatalf("synthetic register %d = %v, want addr %#x size %d name %s",
-				i, ev, w.addr, w.size, w.name)
-		}
-	}
-	live := rec.Events[len(want)]
-	if live.Kind != trace.KindRegister || live.Seq == 0 || live.Addr != base {
-		t.Fatalf("live attach register = %v", live)
-	}
-}
-
-// TestAttachReplayRegionsAsync is the swap-in case: a detector-style
-// handler attached asynchronously mid-run still sees the full region map.
-func TestAttachReplayRegionsAsync(t *testing.T) {
-	p := New(1 << 20)
-	base := p.Base()
-	p.RegisterNamed("root", base, 64)
-	p.Ctx().Store64(base, 1)
-
-	rec := trace.NewRecorder(16)
-	p.AttachWith(rec, AttachOptions{Async: true, ReplayRegions: true})
-	p.Sync()
-	if rec.Len() < 3 {
-		t.Fatalf("async late attach saw %d events, want >= 3", rec.Len())
-	}
-	if ev := rec.Events[1]; ev.Site.String() != "root" || ev.Addr != base || ev.Size != 64 {
-		t.Fatalf("named region not replayed: %v", ev)
-	}
-}
-
 // TestAsyncCrashImageBarrier checks Crash drains async handlers before
 // snapshotting.
 func TestAsyncCrashImageBarrier(t *testing.T) {

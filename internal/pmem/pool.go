@@ -190,13 +190,6 @@ type AttachOptions struct {
 	// are byte-identical to inline delivery. Synchronous delivery remains
 	// the default.
 	Async bool
-	// ReplayRegions replays synthetic Register events — the whole pool,
-	// then every named region in name order — to the newly attached
-	// handler before it joins the live stream, so a handler attached
-	// mid-run (the asynchronous consumer swap-in case) still sees a
-	// complete region map. Synthetic events carry Seq 0: they re-describe
-	// existing regions rather than extend the instruction stream.
-	ReplayRegions bool
 	// PipelineDepth overrides the pipeline's ring depth for Async
 	// attaches (0 = trace.DefaultPipelineDepth).
 	PipelineDepth int
@@ -221,8 +214,7 @@ type AttachOptions struct {
 // Attach registers a handler to receive the pool's instruction stream and
 // immediately emits a Register event covering the whole pool, mirroring
 // Register_pmem embedded in mmap (§6). Handlers attached later miss earlier
-// events; attach before running the workload, or use
-// AttachOptions.ReplayRegions to recover the region map.
+// events, so attach before running the workload.
 func (p *Pool) Attach(h trace.Handler) {
 	p.AttachWith(h, AttachOptions{})
 }
@@ -259,9 +251,6 @@ func (p *Pool) AttachWith(h trace.Handler, opts AttachOptions) *trace.Pipeline {
 		p.conduits = append(p.conduits, pipe)
 		target = pipe
 	}
-	if opts.ReplayRegions {
-		p.replayRegionsLocked(target)
-	}
 	p.handlers = append(p.handlers, target)
 	p.emitLocked(trace.Event{
 		Kind: trace.KindRegister,
@@ -282,20 +271,6 @@ func (p *Pool) refreshFastPathLocked() {
 		return
 	}
 	p.fastPipe, _ = p.handlers[0].(*trace.Pipeline)
-}
-
-// replayRegionsLocked delivers synthetic Register events for the pool and
-// its named regions (sorted by name for determinism) to h only. Callers
-// hold p.mu.
-func (p *Pool) replayRegionsLocked(h trace.Handler) {
-	h.HandleEvent(trace.Event{Kind: trace.KindRegister, Addr: p.base, Size: p.Size()})
-	for _, name := range p.sortedNamesLocked() {
-		r := p.names[name]
-		h.HandleEvent(trace.Event{
-			Kind: trace.KindRegister, Addr: r.Addr, Size: r.Size,
-			Site: trace.RegisterSite(name),
-		})
-	}
 }
 
 // Detach removes a previously attached handler, identified either directly

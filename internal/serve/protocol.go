@@ -5,7 +5,7 @@
 // an operational HTTP surface (health, metrics, report pull).
 //
 // The wire protocol is deliberately small. A connection opens with one
-// line-based handshake:
+// line-based handshake of at most 4096 bytes, newline included:
 //
 //	client → server:  PMSERVE/1 tenant=<name> model=<model> drain=<eager|lazy> shards=<n>\n
 //	server → client:  OK session=<id>\n        (or: ERR <reason>\n)

@@ -496,17 +496,19 @@ func TestShutdownHardDeadline(t *testing.T) {
 	}
 }
 
+// badHandshakes are malformed handshake lines the server must refuse.
+var badHandshakes = []string{
+	"HELLO?\n",
+	ProtocolVersion + " tenant=bad/slash model=strict\n",
+	ProtocolVersion + " model=quantum\n",
+	ProtocolVersion + " drain=sometimes\n",
+	ProtocolVersion + " shards=minustwo\n",
+}
+
 // TestHandshakeErrors: malformed handshakes get an ERR line and no session.
 func TestHandshakeErrors(t *testing.T) {
 	srv := startServer(t, Config{})
-	cases := []string{
-		"HELLO?\n",
-		ProtocolVersion + " tenant=bad/slash model=strict\n",
-		ProtocolVersion + " model=quantum\n",
-		ProtocolVersion + " drain=sometimes\n",
-		ProtocolVersion + " shards=minustwo\n",
-	}
-	for _, hs := range cases {
+	for _, hs := range badHandshakes {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -518,6 +520,29 @@ func TestHandshakeErrors(t *testing.T) {
 			t.Fatalf("handshake %q: got %q, want ERR", strings.TrimSpace(hs), line)
 		}
 	}
+
+	// A handshake line with no newline in sight is refused once it
+	// outgrows the limit, long before the handshake deadline; the client
+	// is still writing when the reply arrives.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		// The write fails once the server hangs up; only the reply matters.
+		conn.Write([]byte(ProtocolVersion + " tenant=" + strings.Repeat("a", 1<<20)))
+	}()
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	line, err := readLine(conn)
+	conn.Close()
+	<-wrote
+	if !strings.HasPrefix(line, "ERR ") || !strings.Contains(line, fmt.Sprint(maxHandshakeLine)) {
+		t.Fatalf("oversized handshake: got %q (%v), want an ERR naming the %d-byte limit",
+			line, err, maxHandshakeLine)
+	}
+
 	if n := len(srv.Sessions()); n != 0 {
 		t.Fatalf("%d sessions registered from bad handshakes", n)
 	}

@@ -281,6 +281,12 @@ func (m *meteredSink) HandleBatch(evs []trace.Event) {
 	m.sess.events.Add(uint64(len(evs)))
 }
 
+// maxHandshakeLine bounds the handshake line, newline included. The line
+// Dial sends is under 150 bytes. The session reader's buffer is this
+// size, so a longer line is refused as soon as it fills the buffer
+// instead of growing server memory until the handshake deadline.
+const maxHandshakeLine = 4096
+
 // handleConn runs one session: handshake, stream, finalize, report frame.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -288,13 +294,17 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 	cr := &countingReader{r: conn, n: &s.bytes}
-	br := bufio.NewReader(cr)
-	line, err := br.ReadString('\n')
+	br := bufio.NewReaderSize(cr, maxHandshakeLine)
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		fmt.Fprintf(conn, "ERR handshake line exceeds %d bytes\n", maxHandshakeLine)
+		return
+	}
 	if err != nil {
 		fmt.Fprintf(conn, "ERR handshake read: %v\n", err)
 		return
 	}
-	hs, err := parseHello(line)
+	hs, err := parseHello(string(line))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
 		return

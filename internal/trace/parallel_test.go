@@ -136,7 +136,7 @@ func TestReplayBatched(t *testing.T) {
 		rec.HandleEvent(Event{Seq: uint64(i + 1), Kind: KindStore, Addr: uint64(i), Size: 1})
 	}
 	bc := &batchCounter{}
-	rec.ReplayBatched(bc)
+	ReplayEvents(rec.Events, bc)
 	if bc.batches != 3 {
 		t.Fatalf("got %d batches, want 3", bc.batches)
 	}
@@ -145,7 +145,7 @@ func TestReplayBatched(t *testing.T) {
 	}
 	// Non-batch handlers fall back to per-event delivery.
 	var plain []Event
-	rec.ReplayBatched(HandlerFunc(func(ev Event) { plain = append(plain, ev) }))
+	ReplayEvents(rec.Events, HandlerFunc(func(ev Event) { plain = append(plain, ev) }))
 	if !reflect.DeepEqual(plain, rec.Events) {
 		t.Fatal("fallback replay did not deliver the identical stream")
 	}
@@ -157,7 +157,7 @@ func TestRecorderHandleBatch(t *testing.T) {
 		src.HandleEvent(Event{Seq: uint64(i + 1), Kind: KindFlush})
 	}
 	dst := NewRecorder(0)
-	src.ReplayBatched(dst)
+	ReplayEvents(src.Events, dst)
 	if !reflect.DeepEqual(dst.Events, src.Events) {
 		t.Fatal("recorder-to-recorder batched replay mismatch")
 	}

@@ -43,13 +43,6 @@ func (r *Recorder) Replay(h Handler) {
 	}
 }
 
-// ReplayBatched delivers the recorded events, in order, to h in contiguous
-// slices when h implements BatchHandler (one dynamic dispatch per batch
-// instead of per event), and falls back to Replay semantics otherwise.
-func (r *Recorder) ReplayBatched(h Handler) {
-	ReplayEvents(r.Events, h)
-}
-
 // HandleBatch implements BatchHandler: the recording itself is a batch
 // consumer, so re-recording a replayed stream takes the fast path.
 func (r *Recorder) HandleBatch(evs []Event) {
