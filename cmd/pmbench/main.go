@@ -10,27 +10,17 @@
 //	pmbench -experiment fig10         # memcached thread scalability
 //	pmbench -experiment fig11         # average AVL tree nodes per fence interval
 //	pmbench -experiment reorg         # §7.5 tree reorganization counts
-//	pmbench -experiment pipeline      # inline vs async-pipelined live detection
 //	pmbench -experiment all
 //
-// -n, -memops and -rediskeys size the workloads; absolute numbers depend
-// on the host, the paper's shape does not.
-//
-// `-experiment pipeline` additionally honors -json (write the
-// BENCH_pipeline.json perf-trajectory artifact), -out (artifact path
-// override) and -minspeedup (exit non-zero when the geometric-mean live
-// speedup falls below the bound — the CI smoke gate). It drives the
-// multi-threaded memcached workload with -threads application threads
-// (default 4), which is also the detector shard count for the sharded
-// delivery rows; -minshardscale additionally gates the geomean sharded
-// drain scaling (only meaningful on multi-core hosts — report equality
-// across delivery modes is always a hard error, independent of the
-// gates).
+// -n, -memops and -rediskeys size the workloads and -repeats sets the runs
+// per measurement; absolute numbers depend on the host, the paper's shape
+// does not.
 //
 // The repository's own engines are measured elsewhere: end to end by the
-// pmledger benchmark (cmd/pmledger: crash-space exploration, served
-// detection) and per component by go test benchmarks (BenchmarkHotPath,
-// BenchmarkParallelReplay, BenchmarkDispatcher, BenchmarkCrashSnapshot).
+// pmledger benchmark (cmd/pmledger: crash-space exploration, asynchronous
+// and served detection) and per component by go test benchmarks
+// (BenchmarkHotPath, BenchmarkParallelReplay, BenchmarkDelivery,
+// BenchmarkDispatcher, BenchmarkCrashSnapshot).
 package main
 
 import (
@@ -41,44 +31,23 @@ import (
 	"pmdebugger/internal/harness"
 )
 
-// pipelineOpts carries the pipeline experiment's artifact/gate flags.
-type pipelineOpts struct {
-	json       bool
-	out        string
-	minSpeedup float64
-	// minShardScale, when > 0, fails the experiment unless the geomean
-	// sharded drain scaling (single-consumer drain over sharded drain,
-	// genuinely sharded rows only) reaches the bound. Meaningful on
-	// multi-core hosts; on a single CPU the shards time-slice and the
-	// expected value is ~1x.
-	minShardScale float64
-	threads       int
-}
-
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table1, fig8, table5, sota, fig10, fig11, reorg, pipeline, or all")
+		experiment = flag.String("experiment", "all", "table1, fig8, table5, sota, fig10, fig11, reorg, or all")
 		inserts    = flag.Int("n", 10000, "micro-benchmark insert count (paper: 1K/10K/100K)")
 		memOps     = flag.Int("memops", 10000, "memcached operation count (paper: 10K-100K)")
 		redisKeys  = flag.Int("rediskeys", 10000, "redis LRU-test key count")
 		repeats    = flag.Int("repeats", 3, "runs per (benchmark, tool); the minimum time is kept")
-		jsonOut    = flag.Bool("json", false, "pipeline: also write the JSON artifact")
-		outPath    = flag.String("out", "", "pipeline: JSON artifact path override")
-		minSpeed   = flag.Float64("minspeedup", 0, "pipeline: fail unless the geomean live speedup >= this")
-		threads    = flag.Int("threads", 4, "pipeline: memcached application threads (and detector shards)")
-		minShard   = flag.Float64("minshardscale", 0, "pipeline: fail unless the geomean sharded drain scaling >= this (multi-core hosts)")
 	)
 	flag.Parse()
 	harness.Repeats = *repeats
-	pl := pipelineOpts{json: *jsonOut, out: *outPath, minSpeedup: *minSpeed,
-		minShardScale: *minShard, threads: *threads}
-	if err := run(*experiment, *inserts, *memOps, *redisKeys, pl); err != nil {
+	if err := run(*experiment, *inserts, *memOps, *redisKeys); err != nil {
 		fmt.Fprintln(os.Stderr, "pmbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment string, inserts, memOps, redisKeys int, pl pipelineOpts) error {
+func run(experiment string, inserts, memOps, redisKeys int) error {
 	switch experiment {
 	case "table1":
 		return table1()
@@ -94,8 +63,6 @@ func run(experiment string, inserts, memOps, redisKeys int, pl pipelineOpts) err
 		return fig11(inserts, memOps, redisKeys)
 	case "reorg":
 		return reorg(inserts)
-	case "pipeline":
-		return pipelineExp(pl, memOps, redisKeys)
 	case "all":
 		for _, fn := range []func() error{
 			table1,
@@ -105,7 +72,6 @@ func run(experiment string, inserts, memOps, redisKeys int, pl pipelineOpts) err
 			func() error { return fig10(memOps) },
 			func() error { return fig11(inserts, memOps, redisKeys) },
 			func() error { return reorg(inserts) },
-			func() error { return pipelineExp(pl, memOps, redisKeys) },
 		} {
 			if err := fn(); err != nil {
 				return err

@@ -26,7 +26,8 @@
 // instead of running a detector in-process: the detector session lives on
 // the server, and pmdebug prints the report pulled back over the same
 // connection. -drain and -shards then select the server session's drain
-// discipline and shard fan-out:
+// discipline and shard fan-out (-drain exists only for served sessions;
+// in-process -async and -shards always drain eagerly):
 //
 //	pmdebug -workload memcached -n 10000 -strands -serve 127.0.0.1:7487 -shards 4 -drain lazy
 //
@@ -124,6 +125,8 @@ func run(o runOpts) error {
 		if o.async {
 			return fmt.Errorf("-async is meaningless with -serve (the server pipelines per session); drop it")
 		}
+	} else if o.drain != "" {
+		return fmt.Errorf("-drain selects a served session's drain discipline; it needs -serve (in-process -async always drains eagerly)")
 	}
 
 	// sess is the remote detector session when -serve is set; build then

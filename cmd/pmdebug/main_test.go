@@ -114,6 +114,12 @@ func TestRunServeErrors(t *testing.T) {
 		serveAddr: "127.0.0.1:1", async: true}); err == nil {
 		t.Error("-serve with -async accepted")
 	}
+	// -drain picks a served session's discipline; in process it would be
+	// silently ignored.
+	if err := run(runOpts{workload: "b_tree", n: 200, detector: "pmdebugger", threads: 1,
+		async: true, drain: "bogus"}); err == nil {
+		t.Error("-drain without -serve accepted")
+	}
 	// Unreachable server: the dial failure must surface.
 	if err := run(runOpts{workload: "b_tree", n: 10, detector: "pmdebugger", threads: 1,
 		serveAddr: "127.0.0.1:1", tenant: "x"}); err == nil {

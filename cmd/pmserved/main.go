@@ -44,7 +44,6 @@ func run(args []string, logw io.Writer, sigc <-chan os.Signal, onReady func(*ser
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7487", "trace listener address")
 		httpAddr  = fs.String("http", "127.0.0.1:7488", "operational HTTP listener address ('' disables)")
-		depth     = fs.Int("depth", 0, "per-session pipeline slab-ring depth (0 = default)")
 		maxShards = fs.Int("maxshards", 0, "cap on per-session shard requests (0 = 16)")
 		drainT    = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown deadline before connections are force-closed")
 	)
@@ -55,11 +54,10 @@ func run(args []string, logw io.Writer, sigc <-chan os.Signal, onReady func(*ser
 
 	logger := log.New(logw, "", log.LstdFlags)
 	srv := serve.New(serve.Config{
-		Addr:          *addr,
-		HTTPAddr:      *httpAddr,
-		PipelineDepth: *depth,
-		MaxShards:     *maxShards,
-		Logf:          func(format string, a ...any) { logger.Printf(format, a...) },
+		Addr:      *addr,
+		HTTPAddr:  *httpAddr,
+		MaxShards: *maxShards,
+		Logf:      func(format string, a ...any) { logger.Printf(format, a...) },
 	})
 	if err := srv.Start(); err != nil {
 		return err

@@ -69,53 +69,6 @@ func TestAsyncDeliveryIdenticalStream(t *testing.T) {
 	}
 }
 
-// TestLazyDeliveryIdenticalStream repeats the identical-stream check for the
-// lazy drain discipline: deferred analysis must not change what the handler
-// observes.
-func TestLazyDeliveryIdenticalStream(t *testing.T) {
-	p := New(1 << 20)
-	syncRec := trace.NewRecorder(1024)
-	lazyRec := trace.NewRecorder(1024)
-	p.Attach(syncRec)
-	p.AttachWith(lazyRec, AttachOptions{Async: true, Lazy: true, PipelineDepth: 4})
-	drive(p, 200)
-	p.End()
-
-	if len(lazyRec.Events) == 0 {
-		t.Fatal("lazy recorder saw no events")
-	}
-	start := 0
-	for start < len(syncRec.Events) && syncRec.Events[start].Seq < lazyRec.Events[0].Seq {
-		start++
-	}
-	syncTail := syncRec.Events[start:]
-	if len(syncTail) != len(lazyRec.Events) {
-		t.Fatalf("stream lengths differ: sync %d lazy %d", len(syncTail), len(lazyRec.Events))
-	}
-	for i := range syncTail {
-		if syncTail[i] != lazyRec.Events[i] {
-			t.Fatalf("event %d differs: sync %v lazy %v", i, syncTail[i], lazyRec.Events[i])
-		}
-	}
-}
-
-// TestLazySyncBarrier checks the pool's observation points drain a lazy
-// pipeline exactly like an eager one.
-func TestLazySyncBarrier(t *testing.T) {
-	p := New(1 << 20)
-	rec := trace.NewRecorder(1024)
-	p.AttachWith(rec, AttachOptions{Async: true, Lazy: true})
-	drive(p, 100)
-	if n := p.EventCount(); uint64(rec.Len()) != n {
-		t.Fatalf("after EventCount barrier: recorder has %d events, pool emitted %d", rec.Len(), n)
-	}
-	drive(p, 50)
-	p.Sync()
-	if n := p.EventCount(); uint64(rec.Len()) != n {
-		t.Fatalf("after Sync: recorder has %d events, pool emitted %d", rec.Len(), n)
-	}
-}
-
 // TestAsyncSyncBarrier checks Pool.Sync and EventCount drain the pipeline.
 func TestAsyncSyncBarrier(t *testing.T) {
 	p := New(1 << 20)

@@ -184,30 +184,21 @@ func (p *Pool) Range() intervals.Range { return intervals.R(p.base, p.Size()) }
 type AttachOptions struct {
 	// Async routes the instruction stream to the handler through a
 	// trace.Pipeline: the emitting thread only stages the event into a
-	// slab, and the handler runs on the pipeline's consumer goroutine. The
-	// pool drains the pipeline before every state observation (crash
-	// traps, crash images, EventCount, Detach, program End), so reports
-	// are byte-identical to inline delivery. Synchronous delivery remains
-	// the default.
+	// slab, and the handler runs on the pipeline's consumer goroutine,
+	// which drains slabs as they arrive. The pool drains the pipeline
+	// before every state observation (crash traps, crash images,
+	// EventCount, Detach, program End), so reports are byte-identical to
+	// inline delivery. Synchronous delivery remains the default.
 	Async bool
-	// PipelineDepth overrides the pipeline's ring depth for Async
-	// attaches (0 = trace.DefaultPipelineDepth).
-	PipelineDepth int
-	// Lazy selects the pipeline's deferred drain discipline for Async
-	// attaches: slabs accumulate in the ring and analysis runs at sync
-	// points (or ring exhaustion) instead of concurrently with emission.
-	// Useful when no spare core exists to overlap detection with the
-	// workload; reports are identical in both disciplines.
-	Lazy bool
 	// Shards, with Async, fans delivery out across per-strand detector
 	// shards: when the handler implements trace.Sharder and advertises at
 	// least 2 shard handlers, the pipeline routes by strand across one
-	// consumer goroutine and one ring per shard, each ring with
-	// PipelineDepth slabs. Handlers that cannot shard — including a
-	// core.ShardedDetector whose configuration is not core.Shardable —
-	// fall back to a single-consumer pipeline, and the fallback is counted
-	// in Stats.ShardedFallbacks so it is never silent. Shards <= 1 means
-	// no fan-out.
+	// eager ring and consumer goroutine per shard, each ring holding
+	// trace.DefaultPipelineDepth slabs. Handlers that cannot shard —
+	// including a core.ShardedDetector whose configuration is not
+	// core.Shardable — fall back to a single-consumer pipeline, and the
+	// fallback is counted in Stats.ShardedFallbacks so it is never silent.
+	// Shards <= 1 means no fan-out.
 	Shards int
 }
 
@@ -234,10 +225,7 @@ func (p *Pool) AttachWith(h trace.Handler, opts AttachOptions) *trace.Pipeline {
 	target := h
 	var pipe *trace.Pipeline
 	if opts.Async {
-		popts := trace.PipelineOptions{
-			Depth: opts.PipelineDepth,
-			Lazy:  opts.Lazy,
-		}
+		var popts trace.PipelineOptions
 		if sh, ok := h.(trace.Sharder); ok && opts.Shards > 1 {
 			popts.Shards = sh.ShardHandlers()
 		}

@@ -31,8 +31,7 @@ func driveStrands(p *Pool, n int) {
 // TestShardedAttachReportEquality is the pool-level differential: a
 // ShardedDetector attached with AttachOptions.Shards — per-shard consumer
 // goroutines, zero-copy StrandSlot staging and all — must report exactly
-// what an inline engine reports for the same program, in both drain
-// disciplines.
+// what an inline engine reports for the same program.
 func TestShardedAttachReportEquality(t *testing.T) {
 	program := func(p *Pool) {
 		drive(p, 300) // the mixed stream: epochs, strands, registers
@@ -46,24 +45,22 @@ func TestShardedAttachReportEquality(t *testing.T) {
 	program(pi)
 	want := inline.Report().Summary()
 
-	for _, lazy := range []bool{false, true} {
-		p := New(1 << 20)
-		sd := core.NewSharded(strandCfg(), 4)
-		pipe := p.AttachWith(sd, AttachOptions{Async: true, Lazy: lazy, Shards: 4})
-		if pipe == nil || pipe.Shards() != 4 {
-			t.Fatalf("lazy=%v: sharded attach did not return a 4-shard pipeline", lazy)
-		}
-		if sd.Fallback() {
-			t.Fatalf("lazy=%v: unexpected fallback: %s", lazy, sd.FallbackReason())
-		}
-		if st := p.Stats(); st.ShardedAttaches != 1 || st.ShardedFallbacks != 0 {
-			t.Fatalf("lazy=%v: stats %+v, want 1 sharded attach, 0 fallbacks", lazy, st)
-		}
-		program(p)
-		if got := sd.Report().Summary(); got != want {
-			t.Fatalf("lazy=%v: sharded live report differs from inline\n--- inline ---\n%s--- sharded ---\n%s",
-				lazy, want, got)
-		}
+	p := New(1 << 20)
+	sd := core.NewSharded(strandCfg(), 4)
+	pipe := p.AttachWith(sd, AttachOptions{Async: true, Shards: 4})
+	if pipe == nil || pipe.Shards() != 4 {
+		t.Fatal("sharded attach did not return a 4-shard pipeline")
+	}
+	if sd.Fallback() {
+		t.Fatalf("unexpected fallback: %s", sd.FallbackReason())
+	}
+	if st := p.Stats(); st.ShardedAttaches != 1 || st.ShardedFallbacks != 0 {
+		t.Fatalf("stats %+v, want 1 sharded attach, 0 fallbacks", st)
+	}
+	program(p)
+	if got := sd.Report().Summary(); got != want {
+		t.Fatalf("sharded live report differs from inline\n--- inline ---\n%s--- sharded ---\n%s",
+			want, got)
 	}
 }
 

@@ -24,9 +24,6 @@ type Config struct {
 	Addr string
 	// HTTPAddr is the operational HTTP listener address ("" disables it).
 	HTTPAddr string
-	// PipelineDepth is the per-session slab-ring depth
-	// (0 = trace.DefaultPipelineDepth).
-	PipelineDepth int
 	// MaxShards caps a client's requested shard count (0 = 16). Requests
 	// above the cap are clamped, not rejected: shard count never changes
 	// the report, only how many consumer goroutines drain it.
@@ -314,7 +311,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		hs.Shards = s.cfg.MaxShards
 	}
 
-	eng := buildEngine(hs, s.cfg.DetectorFactory, s.cfg.PipelineDepth)
+	eng := buildEngine(hs, s.cfg.DetectorFactory)
 	sess := s.register(hs, eng)
 	if eng.fallback != "" {
 		s.cfg.Logf("pmserved: session %s requested %d shards but degraded to a single engine: %s",
@@ -419,11 +416,12 @@ type engine struct {
 // core.NewSharded detector behind a strand-routed pipeline when the client
 // requested shards (one ring when the configuration does not shard), a
 // single engine behind a one-ring pipeline otherwise. The drain discipline
-// (eager/lazy) applies to every ring. Offline uses the same constructor,
-// which is what makes served reports comparable byte for byte with offline
+// (eager/lazy) applies to every ring, and every ring holds
+// trace.DefaultPipelineDepth slabs. Offline uses the same constructor, which
+// is what makes served reports comparable byte for byte with offline
 // replays.
-func buildEngine(hs Hello, factory func(rules.Model) baselines.Detector, depth int) engine {
-	popts := trace.PipelineOptions{Lazy: hs.Drain == DrainLazy, Depth: depth}
+func buildEngine(hs Hello, factory func(rules.Model) baselines.Detector) engine {
+	popts := trace.PipelineOptions{Lazy: hs.Drain == DrainLazy}
 	var det baselines.Detector
 	var fallback string
 	switch {
@@ -479,7 +477,7 @@ func (e engine) finalize(streamErr error) (rep *report.Report, failed bool) {
 // byte-identity requirement: a served session's pulled report must equal
 // Offline's summary of the same recorded trace.
 func Offline(r io.Reader, opt Options) (*report.Report, error) {
-	eng := buildEngine(opt.hello(), nil, 0)
+	eng := buildEngine(opt.hello(), nil)
 	_, streamErr := trace.StreamTrace(r, eng.pipe)
 	rep, failed := eng.finalize(streamErr)
 	if streamErr != nil {

@@ -51,15 +51,16 @@ import (
 // Two drain disciplines are available (PipelineOptions.Lazy):
 //
 //   - Eager (default): consumers drain slabs as they arrive, so detection
-//     overlaps execution on another core. The right choice when a spare
-//     core exists.
+//     overlaps execution on another core. Every in-process attach
+//     (pmem.AttachOptions.Async) drains eagerly: timed end to end on the
+//     delivery benchmark's workloads, eager beat lazy drain at two Ps and
+//     matched it at one (EXPERIMENTS.md).
 //   - Lazy: consumers park and slabs accumulate in the rings; analysis
 //     runs when Sync or Close demands it, or when a ring runs out of
 //     recycled slabs. This is the tracing-then-analysis decoupling of
-//     offline-trace debuggers (WITCHER's architecture): on a machine with no
-//     spare core it keeps the consumers entirely off the CPU during the
-//     application's live phase instead of time-slicing against it. Delivery
-//     order and reports are identical in both disciplines.
+//     offline-trace debuggers (WITCHER's architecture). Only a pmserved
+//     session that asks for drain=lazy uses it. Delivery order and reports
+//     are identical in both disciplines.
 type Pipeline struct {
 	h     Handler
 	rings []*ring
@@ -87,9 +88,13 @@ const DefaultPipelineDepth = 8
 type PipelineOptions struct {
 	// Depth is the number of slabs in each ring (0 = DefaultPipelineDepth,
 	// minimum 2: one slab staging while one drains — the double buffer).
+	// Every caller outside tests uses the default; tests shrink it to reach
+	// backpressure and ring exhaustion.
 	Depth int
 	// Lazy selects the deferred drain discipline: consumers park until
 	// Sync/Close or ring exhaustion instead of draining as slabs arrive.
+	// Its one caller is a pmserved session whose handshake asks for
+	// drain=lazy; in-process attaches always drain eagerly.
 	Lazy bool
 	// Shards, when it holds two or more handlers, gives the pipeline one
 	// ring per handler and routes events to them by strand (Route). Fewer
