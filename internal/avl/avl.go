@@ -65,16 +65,37 @@ type Tree struct {
 	root  *node
 	size  int
 	stats Stats
+
+	// Conservative summaries of every record that entered the tree, so
+	// whole-tree sweeps that cannot match return at once: mayFlushed is
+	// false only when no record is flushed, and maxEpochs is the largest
+	// Epochs ever inserted. Neither is lowered by deletes.
+	mayFlushed bool
+	maxEpochs  int32
 }
 
 // New returns an empty tree.
-func New() *Tree { return &Tree{} }
+func New() *Tree { return &Tree{maxEpochs: -1} }
 
 // Len returns the number of items in the tree.
 func (t *Tree) Len() int { return t.size }
 
 // Stats returns a copy of the maintenance counters.
 func (t *Tree) Stats() Stats { return t.stats }
+
+// MaxEpochs returns an upper bound on the Epochs of every record: the
+// largest ever inserted since the tree was created or cleared, or -1.
+func (t *Tree) MaxEpochs() int32 { return t.maxEpochs }
+
+// note folds a record entering the tree into the sweep summaries.
+func (t *Tree) note(it Item) {
+	if it.Flushed {
+		t.mayFlushed = true
+	}
+	if it.Epochs > t.maxEpochs {
+		t.maxEpochs = it.Epochs
+	}
+}
 
 // Height returns the height of the tree (0 for empty).
 func (t *Tree) Height() int { return int(height(t.root)) }
@@ -147,6 +168,7 @@ func (t *Tree) insertRaw(n *node, it Item) *node {
 	if n == nil {
 		t.size++
 		t.stats.Inserts++
+		t.note(it)
 		nn := &node{item: it}
 		nn.update()
 		return nn
@@ -418,8 +440,12 @@ func (t *Tree) MarkFlushed(r intervals.Range) (newlyFlushed, alreadyFlushed int)
 }
 
 // RemoveFlushed deletes every record marked flushed (fence processing,
-// §4.4) and returns them.
+// §4.4) and returns them. A tree that has held no flushed record since the
+// last sweep returns at once without a walk.
 func (t *Tree) RemoveFlushed() []Item {
+	if !t.mayFlushed {
+		return nil
+	}
 	var flushed []Item
 	t.Visit(func(it Item) {
 		if it.Flushed {
@@ -429,6 +455,7 @@ func (t *Tree) RemoveFlushed() []Item {
 	for _, it := range flushed {
 		t.deleteExact(it.Addr)
 	}
+	t.mayFlushed = false
 	return flushed
 }
 
@@ -492,6 +519,9 @@ func (t *Tree) Merge() int {
 // rebuild replaces the tree contents with the given address-ordered disjoint
 // items, producing a perfectly balanced tree.
 func (t *Tree) rebuild(items []Item) {
+	for _, it := range items {
+		t.note(it)
+	}
 	t.root = buildBalanced(items)
 	t.size = len(items)
 }
@@ -512,6 +542,8 @@ func buildBalanced(items []Item) *node {
 func (t *Tree) Clear() {
 	t.root = nil
 	t.size = 0
+	t.mayFlushed = false
+	t.maxEpochs = -1
 }
 
 func max32(a, b int32) int32 {

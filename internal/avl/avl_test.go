@@ -512,3 +512,155 @@ func TestInsertAllRandomized(t *testing.T) {
 		insertAllMatchesSequential(t, pre, batch)
 	}
 }
+
+// flushedByWalk returns the flushed records a full in-order walk finds.
+func flushedByWalk(tr *Tree) []Item {
+	var out []Item
+	tr.Visit(func(it Item) {
+		if it.Flushed {
+			out = append(out, it)
+		}
+	})
+	return out
+}
+
+// requireSweepExact checks the sweep summaries against a full walk: every
+// record's Epochs is at most MaxEpochs, and RemoveFlushed removes exactly
+// the records the walk finds flushed.
+func requireSweepExact(t *testing.T, tr *Tree, label string) {
+	t.Helper()
+	tr.Visit(func(it Item) {
+		if it.Epochs > tr.MaxEpochs() {
+			t.Fatalf("%s: record %v has Epochs %d above MaxEpochs %d",
+				label, it.Range(), it.Epochs, tr.MaxEpochs())
+		}
+	})
+	want := flushedByWalk(tr)
+	got := tr.RemoveFlushed()
+	if len(got) != len(want) {
+		t.Fatalf("%s: RemoveFlushed removed %d records, walk found %d flushed", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: RemoveFlushed[%d] = %+v, walk found %+v", label, i, got[i], want[i])
+		}
+	}
+	if left := flushedByWalk(tr); len(left) != 0 {
+		t.Fatalf("%s: %d flushed records survived RemoveFlushed", label, len(left))
+	}
+	checkInvariants(t, tr)
+}
+
+// TestSweepSummariesFollowEveryInsertPath drives each way a record enters
+// the tree — MarkFlushed splits, InsertAll's bulk rebuild, Merge's rebuild
+// and InsertDisjoint — after a sweep has cleared the flushed summary, and
+// requires RemoveFlushed to find what a full walk finds.
+func TestSweepSummariesFollowEveryInsertPath(t *testing.T) {
+	t.Run("mark-flushed-split", func(t *testing.T) {
+		tr := New()
+		tr.Insert(Item{Addr: 0, Size: 64, Epochs: -1})
+		requireSweepExact(t, tr, "no flushed record")
+		tr.MarkFlushed(intervals.R(16, 16)) // splits into three records
+		if tr.Len() != 3 {
+			t.Fatalf("split left %d records, want 3", tr.Len())
+		}
+		requireSweepExact(t, tr, "after split")
+		if tr.Len() != 2 {
+			t.Fatalf("sweep left %d records, want the 2 unflushed remainders", tr.Len())
+		}
+	})
+	t.Run("insert-all-bulk", func(t *testing.T) {
+		tr := New()
+		var batch []Item
+		for i := 0; i < 32; i++ {
+			batch = append(batch, Item{Addr: uint64(i * 16), Size: 8, Flushed: i%3 == 0, Epochs: 7})
+		}
+		before := tr.Stats().Rotations
+		tr.InsertAll(batch)
+		if tr.Stats().Rotations != before {
+			t.Fatal("disjoint batch did not take the bulk rebuild")
+		}
+		if tr.MaxEpochs() != 7 {
+			t.Fatalf("MaxEpochs = %d after bulk insert of epoch 7", tr.MaxEpochs())
+		}
+		requireSweepExact(t, tr, "after bulk insert")
+	})
+	t.Run("merge", func(t *testing.T) {
+		tr := New()
+		requireSweepExact(t, tr, "empty")
+		for i := 0; i < 8; i++ {
+			tr.InsertDisjoint(Item{Addr: uint64(i * 8), Size: 8, Flushed: true, Epochs: 2})
+		}
+		tr.Insert(Item{Addr: 100, Size: 8, Epochs: 3})
+		if n := tr.Merge(); n != 7 {
+			t.Fatalf("Merge eliminated %d records, want 7", n)
+		}
+		requireSweepExact(t, tr, "after merge")
+		if tr.Len() != 1 || tr.MaxEpochs() != 3 {
+			t.Fatalf("after sweep: len %d, MaxEpochs %d; want 1, 3", tr.Len(), tr.MaxEpochs())
+		}
+	})
+	t.Run("insert-disjoint", func(t *testing.T) {
+		tr := New()
+		tr.Insert(Item{Addr: 0, Size: 8, Flushed: true})
+		requireSweepExact(t, tr, "first sweep")
+		tr.InsertDisjoint(Item{Addr: 64, Size: 8, Flushed: true, Epochs: 4})
+		requireSweepExact(t, tr, "after insert-disjoint")
+	})
+	t.Run("clear", func(t *testing.T) {
+		tr := New()
+		tr.Insert(Item{Addr: 0, Size: 8, Flushed: true, Epochs: 9})
+		tr.Clear()
+		if tr.MaxEpochs() != -1 || tr.RemoveFlushed() != nil {
+			t.Fatalf("Clear kept summaries: MaxEpochs %d", tr.MaxEpochs())
+		}
+	})
+}
+
+// TestSweepSummariesRandomized interleaves every mutating operation with
+// sweeps and checks each sweep against a full walk.
+func TestSweepSummariesRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tr := New()
+	item := func() Item {
+		return Item{
+			Addr: uint64(rng.Intn(2048)), Size: uint64(rng.Intn(48)) + 1,
+			Flushed: rng.Intn(4) == 0, Epochs: int32(rng.Intn(6)) - 1,
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch rng.Intn(9) {
+		case 0, 1:
+			tr.Insert(item())
+		case 2:
+			tr.MarkFlushed(intervals.R(uint64(rng.Intn(2048)), uint64(rng.Intn(96))+1))
+		case 3:
+			// A batch that is disjoint from itself; the bulk path applies
+			// when it is also disjoint from the tree.
+			base := uint64(rng.Intn(4096))
+			var batch []Item
+			for i := 0; i < 16+rng.Intn(16); i++ {
+				it := item()
+				it.Addr, it.Size = base+uint64(i*16), 8
+				batch = append(batch, it)
+			}
+			tr.InsertAll(batch)
+		case 4:
+			tr.Merge()
+		case 5:
+			it := item()
+			if len(tr.CollectOverlapping(it.Range())) == 0 {
+				tr.InsertDisjoint(it)
+			}
+		case 6:
+			if items := tr.Items(); len(items) > 0 {
+				tr.Delete(items[rng.Intn(len(items))].Addr)
+			}
+		case 7:
+			tr.RemoveIf(func(it Item) bool { return it.Epochs == 0 })
+		case 8:
+			requireSweepExact(t, tr, "random step")
+		}
+	}
+	requireSweepExact(t, tr, "final")
+}

@@ -117,16 +117,22 @@ type Detector struct {
 	// strand-heavy programs open sections at operation rate, and
 	// re-allocating the array and tree each time would dominate.
 	spareSpaces []*space
+
+	// scanLimit is the array length past which queries build and use the
+	// cache-line index (index.go). New sets it to the package constant;
+	// tests lower it to drive the indexed path on short fence intervals.
+	scanLimit int
 }
 
 // New returns a PMDebugger detector with the given configuration.
 func New(cfg Config) *Detector {
 	cfg.fill()
 	d := &Detector{
-		cfg:     cfg,
-		rep:     report.New("pmdebugger"),
-		spaces:  map[int32]*space{},
-		epochID: -1,
+		cfg:       cfg,
+		rep:       report.New("pmdebugger"),
+		spaces:    map[int32]*space{},
+		epochID:   -1,
+		scanLimit: scanLimit,
 	}
 	d.space0 = newSpace(d, 0)
 	d.spaces[0] = d.space0
@@ -158,9 +164,9 @@ func (d *Detector) spaceFor(strand int32) *space {
 			s.arr = s.arr[:0]
 			s.meta = s.meta[:0]
 			s.meta = append(s.meta, clfMeta{minAddr: ^uint64(0)})
-			// A retired space is empty, and every index mutation accompanies
-			// an array append, so its index is already clear — reset anyway
-			// so a recycled space never inherits stale line lists.
+			// A retired space is empty, so the fence that emptied its array
+			// already reset its index — reset anyway so a recycled space
+			// never inherits stale line lists.
 			s.resetIndex()
 		} else {
 			s = newSpace(d, strand)
@@ -315,8 +321,8 @@ func (d *Detector) finishEpoch(ev trace.Event) {
 		epoch := d.epochID
 		var undurable []avl.Item
 		for _, s := range d.spaces {
-			s.visitRemaining(func(it avl.Item, flushed bool) {
-				if it.Epoch && it.Epochs == epoch && !it.Reported {
+			s.visitEpoch(epoch, func(it avl.Item) {
+				if !it.Reported {
 					undurable = append(undurable, it)
 				}
 			})

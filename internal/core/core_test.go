@@ -634,3 +634,49 @@ func TestReportIdempotent(t *testing.T) {
 		t.Errorf("Report not idempotent: %d then %d", n1, n2)
 	}
 }
+
+// TestLackDurabilityInEpochFromTree checks the epoch-end sweep over records
+// that reached the AVL tree inside the epoch: an unflushed store moved to
+// the tree by a fence's redistribution, and one spilled past a full array.
+// The tree's epoch summary must not skip them, and records of an earlier
+// epoch must not be reported again.
+func TestLackDurabilityInEpochFromTree(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+	}{
+		{"redistributed", 0},
+		{"spilled", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(Config{Model: rules.Epoch, ArrayCapacity: tc.capacity})
+			var seq uint64
+			emit := func(kind trace.Kind, addr, size uint64) {
+				seq++
+				d.HandleEvent(trace.Event{Seq: seq, Kind: kind, Addr: addr, Size: size})
+			}
+			for epoch := uint64(0); epoch < 2; epoch++ {
+				a := 0x1000 + epoch*0x100
+				emit(trace.KindEpochBegin, 0, 0)
+				emit(trace.KindStore, a+64, 8) // durable: flushed and fenced
+				emit(trace.KindStore, a, 8)    // never flushed
+				emit(trace.KindFlush, a+64, 8)
+				emit(trace.KindFence, 0, 0)
+				if tc.capacity == 0 && d.TreeLen(0) != int(epoch)+1 {
+					t.Fatalf("epoch %d: tree holds %d records, want the redistributed store", epoch, d.TreeLen(0))
+				}
+				emit(trace.KindEpochEnd, 0, 0)
+			}
+			emit(trace.KindEnd, 0, 0)
+			rep := d.Report()
+			wantBugs(t, rep, map[report.BugType]int{report.LackDurabilityInEpoch: 2})
+			var addrs []uint64
+			for _, b := range rep.Bugs {
+				addrs = append(addrs, b.Addr)
+			}
+			if len(addrs) != 2 || addrs[0] != 0x1000 || addrs[1] != 0x1100 {
+				t.Fatalf("reported addresses %#x, want the unflushed store of each epoch", addrs)
+			}
+		})
+	}
+}

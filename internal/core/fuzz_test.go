@@ -75,12 +75,13 @@ func FuzzDetectorVsOracle(f *testing.F) {
 	})
 }
 
-// FuzzIndexedVsScan fuzzes the tentpole equivalence directly: arbitrary
+// FuzzIndexedVsScan fuzzes the index equivalence directly: arbitrary
 // streams of stores, splitting flushes, fences and region purges must
-// produce byte-identical reports from the cache-line-indexed detector and
-// the DisableIndex reference scan. Unlike the oracle fuzz above it runs
-// under selective registration so Unregister_pmem purges live bookkeeping,
-// and it includes zero-size flushes to probe the empty-range overlap quirk.
+// produce byte-identical reports from the cache-line-indexed detector, at
+// every test scan limit, and the DisableIndex reference scan. Unlike the
+// oracle fuzz above it runs under selective registration so Unregister_pmem
+// purges live bookkeeping, and it includes zero-size flushes to probe the
+// empty-range overlap quirk.
 func FuzzIndexedVsScan(f *testing.F) {
 	f.Add([]byte{0, 16, 5, 8, 1, 16, 3, 0, 0, 16, 6, 0, 1, 16})
 	f.Add([]byte{0, 0, 0, 64, 5, 32, 1, 0, 2, 0, 3, 0, 4, 192})
@@ -121,16 +122,12 @@ func FuzzIndexedVsScan(f *testing.F) {
 			ArrayCapacity:       8,
 			MergeThreshold:      4,
 		}
-		cfgScan := cfg
-		cfgScan.DisableIndex = true
-		d, dScan := New(cfg), New(cfgScan)
-		for _, ev := range evs {
-			d.HandleEvent(ev)
-			dScan.HandleEvent(ev)
-		}
-		if got, want := d.Report().Summary(), dScan.Report().Summary(); got != want {
-			t.Fatalf("indexed and scan reports differ\n--- indexed ---\n%s\n--- scan ---\n%s",
-				got, want)
+		for _, limit := range testScanLimits {
+			idx, scan := replayPair(t, cfg, limit, evs)
+			if got, want := idx.Summary(), scan.Summary(); got != want {
+				t.Fatalf("limit %d: indexed and scan reports differ\n--- indexed ---\n%s\n--- scan ---\n%s",
+					limit, got, want)
+			}
 		}
 	})
 }

@@ -22,20 +22,30 @@ package core
 //     moment they stop being current — so it is handled by scanning just
 //     the current and previous intervals.
 //  2. Cache-line index: a map from line id (addr>>6) to the ascending list
-//     of memory-location-array entries whose ranges touch that line,
-//     maintained incrementally on store and reset in O(live lines) at the
-//     fence. Events that miss the MRU probe resolve their candidate
-//     entries — and, through entryIv, the candidate CLF intervals — from
-//     the lines they touch.
+//     of memory-location-array entries whose ranges touch that line, reset
+//     in O(live lines) at the fence. Events that miss the MRU probe resolve
+//     their candidate entries — and, through entryIv, the candidate CLF
+//     intervals — from the lines they touch.
+//
+// The index is built on demand. Most fence intervals are short (Pattern 1:
+// the ledger's Fig. 8 programs average 1.2 to 48 stores per fence), the MRU
+// probe answers nearly every query they make, and a scan of a few hundred
+// entries is cheaper than a map insert per store. So store does not index;
+// a query that misses the MRU probe (and every purge and markReported)
+// first checks the fence interval's array length. Up to scanLimit entries
+// it takes the reference interval scan; past it the index catches up from
+// the last indexed entry and answers. A fence interval that never outgrows
+// the limit never touches the map.
 //
 // The index is a conservative superset: entries are indexed under the lines
-// of their range *at store time*, and later operations (flush splits,
-// purges) only ever shrink an entry's range within that original span, so a
-// record can never overlap a query without sharing an indexed line with it.
-// Every consult therefore re-checks the scan path's exact predicates
-// (interval prefilter gate, per-entry overlap), which keeps the indexed
-// path behaviorally identical to the Config.DisableIndex scan fallback —
-// property- and fuzz-tested in index_test.go / fuzz_test.go.
+// of their range when they are caught up, and later operations (flush
+// splits, purges) only ever shrink an entry's range within the span it had
+// then, so a record can never overlap a query without sharing an indexed
+// line with it. Every consult therefore re-checks the scan path's exact
+// predicates (interval prefilter gate, per-entry overlap), which keeps the
+// indexed path behaviorally identical to the Config.DisableIndex scan
+// fallback — property- and fuzz-tested in index_test.go / fuzz_test.go, at
+// scan limits 0, 4 and the default.
 
 import (
 	"sort"
@@ -46,6 +56,14 @@ import (
 // lineShift converts an address to its cache-line id
 // (log2 of intervals.CacheLineSize).
 const lineShift = 6
+
+// scanLimit is the fence-interval array length up to which a query the MRU
+// probe cannot answer takes the reference interval scan instead of building
+// the cache-line index, so it bounds the entries one scan visits. On the
+// ledger's fig8-inline set, limits of 64 to 1,024 read within 2% of each
+// other and 32 read 3% slower; BenchmarkHotPath's 512–1,536-entry
+// intervals are past 256, so they keep the index's per-event bound.
+const scanLimit = 256
 
 // maxIdleLines bounds how many distinct line slots the index keeps cached
 // across fences: reset truncates each live list in place so its capacity is
@@ -108,9 +126,39 @@ func (x *lineIndex) reset() {
 // than the previous one. oldBounds is a superset of every old interval's
 // collective range (ranges only shrink after an interval stops being
 // current), so missing it means the full interval scan would skip every old
-// interval anyway.
+// interval anyway. It is always false on the reference scan path.
 func (s *space) mruOnly(r intervals.Range) bool {
-	return !r.Overlaps(s.oldBounds)
+	return s.idx != nil && !r.Overlaps(s.oldBounds)
+}
+
+// indexed reports whether a query should resolve its candidates through the
+// cache-line index, and if so brings the index up to date first: it does
+// once the fence interval's array holds more than the detector's scan
+// limit. Otherwise the caller takes the reference interval scan.
+func (s *space) indexed() bool {
+	if s.idx == nil || len(s.arr) <= s.d.scanLimit {
+		return false
+	}
+	s.catchUp()
+	return true
+}
+
+// catchUp indexes the array entries appended since the last query that
+// used the index, under the lines of their current ranges, and records
+// each one's owning CLF interval. Intervals tile the array in order, so
+// the owner walk resumes at the last indexed entry's interval.
+func (s *space) catchUp() {
+	iv := int32(0)
+	if n := len(s.entryIv); n > 0 {
+		iv = s.entryIv[n-1]
+	}
+	for id := len(s.entryIv); id < len(s.arr); id++ {
+		for s.meta[iv].end <= id {
+			iv++
+		}
+		s.idx.add(int32(id), s.arr[id].Range())
+		s.entryIv = append(s.entryIv, iv)
+	}
 }
 
 // mruFirst returns the meta index of the first MRU interval: the previous
@@ -173,13 +221,13 @@ func (s *space) forEachCandidateInterval(cands []int32, fn func(iv int32, ids []
 	}
 }
 
-// resetIndex clears all index state for the next fence interval.
+// resetIndex clears all index state for the next fence interval. A fence
+// interval that never built the index leaves the map untouched.
 func (s *space) resetIndex() {
-	if s.idx == nil {
-		return
+	if len(s.entryIv) > 0 {
+		s.idx.reset()
+		s.entryIv = s.entryIv[:0]
 	}
-	s.idx.reset()
-	s.entryIv = s.entryIv[:0]
 	s.oldBounds = intervals.Range{}
 }
 

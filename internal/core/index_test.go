@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,13 +11,29 @@ import (
 	"pmdebugger/internal/trace"
 )
 
-// replayPair runs the same event stream through an indexed detector and a
-// DisableIndex (reference scan) detector and returns both reports.
-func replayPair(t *testing.T, cfg Config, evs []trace.Event) (idx, scan *report.Report) {
+// testScanLimits are the scan limits the differential suites run the
+// indexed detector at: 0 builds the index for every query the MRU probe
+// cannot answer, 4 builds it part-way through short fence intervals (so
+// catch-up follows flush splits and purges), and the default is what
+// callers get.
+var testScanLimits = []int{0, 4, scanLimit}
+
+// newWithScanLimit returns a detector whose queries use the cache-line
+// index once a fence interval's array holds more than limit entries.
+func newWithScanLimit(cfg Config, limit int) *Detector {
+	d := New(cfg)
+	d.scanLimit = limit
+	return d
+}
+
+// replayPair runs the same event stream through an indexed detector at the
+// given scan limit and a DisableIndex (reference scan) detector and returns
+// both reports.
+func replayPair(t *testing.T, cfg Config, limit int, evs []trace.Event) (idx, scan *report.Report) {
 	t.Helper()
 	cfgScan := cfg
 	cfgScan.DisableIndex = true
-	di, ds := New(cfg), New(cfgScan)
+	di, ds := newWithScanLimit(cfg, limit), New(cfgScan)
 	for _, ev := range evs {
 		di.HandleEvent(ev)
 		ds.HandleEvent(ev)
@@ -140,11 +157,11 @@ func flavorConfig(flavor streamFlavor) Config {
 	}
 }
 
-// TestIndexedMatchesScanRandom is the property test for the tentpole
+// TestIndexedMatchesScanRandom is the property test for the index
 // invariant: for random overlapping event streams across every persistency
 // model — including purges (Unregister_pmem), epoch-end markReported sweeps
 // and per-strand spaces — the indexed detector's report is byte-identical
-// to the reference scan detector's.
+// to the reference scan detector's at every test scan limit.
 func TestIndexedMatchesScanRandom(t *testing.T) {
 	flavors := []struct {
 		name   string
@@ -171,8 +188,10 @@ func TestIndexedMatchesScanRandom(t *testing.T) {
 				cfg := flavorConfig(fl.flavor)
 				cfg.ArrayCapacity = sh.capacity
 				cfg.MergeThreshold = sh.merge
-				idx, scan := replayPair(t, cfg, evs)
-				requireIdentical(t, idx, scan, fl.name+"/"+sh.name)
+				for _, limit := range testScanLimits {
+					idx, scan := replayPair(t, cfg, limit, evs)
+					requireIdentical(t, idx, scan, fmt.Sprintf("%s/%s/limit=%d", fl.name, sh.name, limit))
+				}
 			}
 		}
 	}
@@ -241,10 +260,11 @@ func TestPurgeAllEntriesEmptiesBounds(t *testing.T) {
 	}
 }
 
-// TestIndexFastPathCounters checks the new observability counters: a
-// locality-friendly stream must take the MRU probe, an adversarial one must
-// fall through to the line index, and the scan fallback must report zero for
-// both.
+// TestIndexFastPathCounters checks the fast-path counters: a
+// locality-friendly stream must take the MRU probe; an adversarial one must
+// fall through to the line index once its fence interval outgrows the scan
+// limit, and must leave the index unbuilt below it; and the scan fallback
+// must report zero for both.
 func TestIndexFastPathCounters(t *testing.T) {
 	local := func() []trace.Event {
 		var evs []trace.Event
@@ -270,22 +290,39 @@ func TestIndexFastPathCounters(t *testing.T) {
 	}
 
 	// Re-flushing old lines after many intervening intervals defeats the
-	// MRU probe and must be answered by the line index instead.
-	d = New(Config{Model: rules.Strict})
-	var seq uint64
-	emit := func(kind trace.Kind, addr, size uint64) {
-		seq++
-		d.HandleEvent(trace.Event{Seq: seq, Kind: kind, Addr: addr, Size: size})
+	// MRU probe. Past the scan limit the line index must answer instead.
+	dispersed := func(lines int) *Detector {
+		d := New(Config{Model: rules.Strict})
+		var seq uint64
+		emit := func(kind trace.Kind, addr, size uint64) {
+			seq++
+			d.HandleEvent(trace.Event{Seq: seq, Kind: kind, Addr: addr, Size: size})
+		}
+		for i := 0; i < lines; i++ {
+			emit(trace.KindStore, uint64(0x1000_0000+i*64), 8)
+			emit(trace.KindFlush, uint64(0x1000_0000+i*64), 64)
+		}
+		for i := 0; i < lines; i++ {
+			emit(trace.KindFlush, uint64(0x1000_0000+i*64), 64) // redundant, far from MRU
+		}
+		return d
 	}
-	for i := 0; i < 32; i++ {
-		emit(trace.KindStore, uint64(0x1000_0000+i*64), 8)
-		emit(trace.KindFlush, uint64(0x1000_0000+i*64), 64)
-	}
-	for i := 0; i < 32; i++ {
-		emit(trace.KindFlush, uint64(0x1000_0000+i*64), 64) // redundant, far from MRU
-	}
+	d = dispersed(scanLimit + 64)
 	if c := d.Counters(); c.IndexLineHits == 0 {
-		t.Fatalf("dispersed re-flush stream never hit the line index: %+v", c)
+		t.Fatalf("dispersed re-flush stream past the scan limit never hit the line index: %+v", c)
+	}
+	// Below the limit the same misses take the interval scan: no index
+	// lookups are counted and the line map is never populated.
+	d = dispersed(32)
+	if c := d.Counters(); c.MRUProbeHits == c.Stores+c.Flushes {
+		t.Fatalf("dispersed re-flush stream never missed the MRU probe: %+v", c)
+	}
+	if c := d.Counters(); c.IndexLineHits != 0 || c.IndexLineMisses != 0 {
+		t.Fatalf("dispersed re-flush stream under the scan limit used the line index: %+v", c)
+	}
+	if n := len(d.space0.idx.lists); n != 0 || len(d.space0.entryIv) != 0 {
+		t.Fatalf("fence interval under the scan limit built the index: %d lines, %d entries",
+			n, len(d.space0.entryIv))
 	}
 
 	ds := New(Config{Model: rules.Strict, DisableIndex: true})

@@ -56,10 +56,11 @@ type space struct {
 
 	// Cache-line index state (see index.go). idx is nil when
 	// Config.DisableIndex selects the reference scan path. entryIv maps each
-	// array entry to the CLF interval that owns it; oldBounds summarizes the
-	// address ranges of every interval older than the previous one (the MRU
-	// probe's negative filter). candScratch and redist are reusable scratch
-	// buffers for candidate gathering and fence-time redistribution.
+	// indexed array entry to the CLF interval that owns it, so its length is
+	// the number of entries indexed so far; oldBounds summarizes the address
+	// ranges of every interval older than the previous one (the MRU probe's
+	// negative filter). candScratch and redist are reusable scratch buffers
+	// for candidate gathering and fence-time redistribution.
 	idx         *lineIndex
 	entryIv     []int32
 	oldBounds   intervals.Range
@@ -96,13 +97,13 @@ func (s *space) trackedOverlap(r intervals.Range) (avl.Item, bool) {
 	var hit avl.Item
 	var found bool
 	switch {
-	case s.idx == nil:
-		hit, found = s.overlapScanFrom(r, 0)
 	case s.mruOnly(r):
 		s.d.rep.Counters.MRUProbeHits++
 		hit, found = s.overlapScanFrom(r, s.mruFirst())
-	default:
+	case s.indexed():
 		hit, found = s.overlapIndexed(r)
+	default:
+		hit, found = s.overlapScanFrom(r, 0)
 	}
 	if found {
 		return hit, true
@@ -187,10 +188,6 @@ func (s *space) store(ev trace.Event, epochID int32) {
 			m.maxAddr = ev.End()
 		}
 		s.d.rep.Counters.ArrayAppends++
-		if s.idx != nil {
-			s.idx.add(int32(len(s.arr)-1), r)
-			s.entryIv = append(s.entryIv, int32(len(s.meta)-1))
-		}
 	} else {
 		// Rare overflow (§4.1): new locations go straight to the AVL tree.
 		s.tree.Insert(it)
@@ -209,9 +206,9 @@ func (s *space) store(ev trace.Event, epochID int32) {
 // Afterwards the tree is updated and a fresh CLF interval is opened.
 //
 // With the index enabled, the traversal visits only the MRU intervals (when
-// the probe proves older ones unreachable) or the intervals owning the
-// flush's cache-line candidates; both restrictions visit every interval the
-// reference scan would touch.
+// the probe proves older ones unreachable) or, past the scan limit, the
+// intervals owning the flush's cache-line candidates; both restrictions
+// visit every interval the reference scan would touch.
 //
 // It returns whether the flush hit any not-yet-flushed record and whether it
 // hit any already-flushed record, which drive the redundant-flush and
@@ -219,12 +216,6 @@ func (s *space) store(ev trace.Event, epochID int32) {
 func (s *space) flush(ev trace.Event) (anyNew, anyOld bool) {
 	fr := intervals.R(ev.Addr, ev.Size)
 	switch {
-	case s.idx == nil:
-		for mi := range s.meta {
-			n, o := s.flushOne(&s.meta[mi], fr, nil)
-			anyNew = anyNew || n
-			anyOld = anyOld || o
-		}
 	case s.mruOnly(fr):
 		s.d.rep.Counters.MRUProbeHits++
 		for mi := s.mruFirst(); mi < len(s.meta); mi++ {
@@ -232,12 +223,18 @@ func (s *space) flush(ev trace.Event) (anyNew, anyOld bool) {
 			anyNew = anyNew || n
 			anyOld = anyOld || o
 		}
-	default:
+	case s.indexed():
 		s.forEachCandidateInterval(s.candidates(fr), func(iv int32, ids []int32) {
 			n, o := s.flushOne(&s.meta[iv], fr, ids)
 			anyNew = anyNew || n
 			anyOld = anyOld || o
 		})
+	default:
+		for mi := range s.meta {
+			n, o := s.flushOne(&s.meta[mi], fr, nil)
+			anyNew = anyNew || n
+			anyOld = anyOld || o
+		}
 	}
 
 	// Then the AVL tree (§4.3): the array absorbs most updates, so this
@@ -458,9 +455,15 @@ func (s *space) fenceArray(ot *orderTracker) {
 }
 
 // visitRemaining calls fn for every record still tracked (used by the
-// end-of-program and epoch-end durability rules). The flushed flag passed to
-// fn accounts for collective interval state.
+// end-of-program durability rule). The flushed flag passed to fn accounts
+// for collective interval state.
 func (s *space) visitRemaining(fn func(it avl.Item, flushed bool)) {
+	s.visitArray(fn)
+	s.tree.Visit(func(it avl.Item) { fn(it, it.Flushed) })
+}
+
+// visitArray calls fn for every live record of the memory location array.
+func (s *space) visitArray(fn func(it avl.Item, flushed bool)) {
 	for mi := range s.meta {
 		m := &s.meta[mi]
 		for i := m.start; i < m.end; i++ {
@@ -470,21 +473,35 @@ func (s *space) visitRemaining(fn func(it avl.Item, flushed bool)) {
 			fn(s.arr[i], s.arr[i].Flushed || m.state == allFlushed)
 		}
 	}
-	s.tree.Visit(func(it avl.Item) { fn(it, it.Flushed) })
+}
+
+// visitEpoch calls fn for every record still tracked that a store inside
+// epoch section id created (the epoch-end durability rule). The tree walk
+// is skipped when the tree has never held a record of that epoch.
+func (s *space) visitEpoch(id int32, fn func(it avl.Item)) {
+	pick := func(it avl.Item, _ bool) {
+		if it.Epoch && it.Epochs == id {
+			fn(it)
+		}
+	}
+	s.visitArray(pick)
+	if s.tree.MaxEpochs() >= id {
+		s.tree.Visit(func(it avl.Item) { pick(it, it.Flushed) })
+	}
 }
 
 // purge drops all tracking for records overlapping r (Unregister_pmem):
 // array entries shrink to their non-overlapping remainders (a zero-size
 // entry is inert everywhere), tree records are removed or truncated.
 func (s *space) purge(r intervals.Range) {
-	if s.idx == nil {
-		for mi := range s.meta {
-			s.purgeOne(&s.meta[mi], r, nil)
-		}
-	} else {
+	if s.indexed() {
 		s.forEachCandidateInterval(s.candidates(r), func(iv int32, ids []int32) {
 			s.purgeOne(&s.meta[iv], r, ids)
 		})
+	} else {
+		for mi := range s.meta {
+			s.purgeOne(&s.meta[mi], r, nil)
+		}
 	}
 	for _, old := range s.tree.CollectOverlapping(r) {
 		s.tree.Delete(old.Addr)
@@ -565,14 +582,14 @@ func (s *space) tightenBounds(m *clfMeta) {
 // markReported flags tracked records overlapping r as already reported so a
 // later rule (end-of-program no-durability) does not double-report them.
 func (s *space) markReported(r intervals.Range) {
-	if s.idx == nil {
-		for mi := range s.meta {
-			s.markReportedOne(&s.meta[mi], r, nil)
-		}
-	} else {
+	if s.indexed() {
 		s.forEachCandidateInterval(s.candidates(r), func(iv int32, ids []int32) {
 			s.markReportedOne(&s.meta[iv], r, ids)
 		})
+	} else {
+		for mi := range s.meta {
+			s.markReportedOne(&s.meta[mi], r, nil)
+		}
 	}
 	// The AVL tree stores items by value; rewrite overlapping ones.
 	hit := s.tree.CollectOverlapping(r)

@@ -163,7 +163,9 @@ type Counters struct {
 
 	// IndexLineHits and IndexLineMisses count cache-line index lookups on
 	// the detector hot path that found / did not find candidate records.
-	// Both stay zero when the index is disabled (core.Config.DisableIndex).
+	// The index is built only for fence intervals whose array outgrows the
+	// detector's scan limit, so both stay zero when no interval does, and
+	// when the index is disabled (core.Config.DisableIndex).
 	IndexLineHits   uint64
 	IndexLineMisses uint64
 	// MRUProbeHits counts store and CLF events answered entirely by the
