@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"pmdebugger/internal/intervals"
 )
@@ -211,8 +210,7 @@ func (p *Pool) crashWithLocked(o *CrashOutcome) *Pool {
 	for i := 0; i < o.count(); i++ {
 		l, staged := o.line(i)
 		lo := (l & lineMask) * LineSize
-		pg := n.persistWritable(int(l >> lineShift))
-		copy(pg.data[lo:lo+LineSize], staged)
+		copy(n.persistWritable(l).data[lo:lo+LineSize], staged)
 	}
 
 	// The image's volatile image aliases its persistent image — the state of
@@ -251,17 +249,15 @@ func (p *Pool) cloneLocked() *Pool {
 	n.pageZero = p.pageZero
 	n.pageShared = p.pageShared + p.pagePrivate
 	p.pageShared, p.pagePrivate = n.pageShared, 0
-	// The fingerprint caches ride along: shared pages have identical
-	// content, and persistWritable invalidates the covering entries on
+	// The pool-level fingerprint caches ride along (the lower levels travel
+	// with the shared chunks and pages): shared chunks have identical
+	// content, and persistWritable makes the covering entries stale on
 	// either side's later writes.
-	if p.groupOK != nil {
-		n.groupHash = append([][32]byte(nil), p.groupHash...)
-		n.groupOK = append([]bool(nil), p.groupOK...)
-	}
-	if p.superOK != nil {
-		n.superHash = append([][32]byte(nil), p.superHash...)
+	if p.fpTop != nil {
+		n.fpTop = append([]byte(nil), p.fpTop...)
 		n.superOK = append([]bool(nil), p.superOK...)
 	}
+	n.topHash, n.topOK = p.topHash, p.topOK
 	// Names model program symbols, which survive restart. Their caches
 	// ride along too.
 	for name, r := range p.names {
@@ -307,8 +303,7 @@ func (p *Pool) Release() {
 	p.pendingLines = nil
 	p.dirtyLineCount, p.pendingLineCount = 0, 0
 	p.pageZero, p.pageShared, p.pagePrivate = 0, 0, 0
-	p.groupHash, p.groupOK = nil, nil
-	p.superHash, p.superOK = nil, nil
+	p.fpTop, p.superOK, p.topOK = nil, nil, false
 }
 
 // PageStats reports the persistent image's page-table composition: zero
@@ -365,107 +360,56 @@ func (p *Pool) scanPageStats() (zero, shared, private int) {
 // deduplication (internal/crashtest) relies on; the names are included
 // because checkers may resolve symbols through NamedRange.
 //
-// The hash is a four-level Merkle rollup — per-page hashes cached on the
-// (shared) pages themselves, cached group hashes over groupPages-page spans,
-// cached super hashes over superGroups-group spans, and a top hash over the
-// super level — so a call after k dirtied pages rehashes O(k) pages plus
-// their groups and supers, never the whole pool. All-zero groups resolve to
-// a process-wide constant digest, so the first call on a sparse pool costs
-// O(materialized chunks), not O(pool).
+// The hash is the root of a SHA-256 Merkle tree (see page.go): leaf hashes
+// over 512-byte spans and page hashes cached on the shared pages, group and
+// chunk hashes cached on the shared chunks, super hashes over 32 MiB spans
+// and the top hash — over the base and size, the super level and the
+// separately cached names digest — cached on the pool. A write makes stale
+// only the path above the line it changed, and copies take their source's
+// hashes, so a call costs O(bytes changed since the last call + pool/32MiB);
+// an unchanged pool returns its cached top hash. It is a fixed function of
+// the pool's size, base, persistent bytes and names, however the pool was
+// built: nil chunks and pages stand for precomputed zero hashes, so the
+// first call on a sparse pool costs O(materialized bytes).
 func (p *Pool) Fingerprint() [32]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-
-	ngroups := (p.npages + groupPages - 1) / groupPages
-	nsupers := (ngroups + superGroups - 1) / superGroups
-	if p.groupOK == nil {
-		p.groupHash = make([][32]byte, ngroups)
-		p.groupOK = make([]bool, ngroups)
+	if p.topOK {
+		return p.topHash
 	}
-	if p.superOK == nil {
-		p.superHash = make([][32]byte, nsupers)
+	if p.fpTop == nil {
+		nsupers := (len(p.persist) + superChunks - 1) / superChunks
+		p.fpTop = make([]byte, topHdr+(nsupers+1)*sha256.Size)
+		binary.LittleEndian.PutUint64(p.fpTop[0:], p.base)
+		binary.LittleEndian.PutUint64(p.fpTop[8:], p.size)
 		p.superOK = make([]bool, nsupers)
 	}
-	for s := 0; s < nsupers; s++ {
-		if p.superOK[s] {
+	for s, ok := range p.superOK {
+		if ok {
 			continue
 		}
-		glo, ghi := s*superGroups, (s+1)*superGroups
-		if ghi > ngroups {
-			ghi = ngroups
-		}
-		for g := glo; g < ghi; g++ {
-			if p.groupOK[g] {
-				continue
+		chunks := p.persist[s*superChunks : min((s+1)*superChunks, len(p.persist))]
+		var buf [superChunks * sha256.Size]byte
+		for i, ch := range chunks {
+			h := zeroHashes.chunk
+			if ch != nil {
+				h = ch.contentHash()
 			}
-			start := g * groupPages
-			end := start + groupPages
-			if end > p.npages {
-				end = p.npages
-			}
-			// groupPages divides chunkSlots, so the whole group lives in one
-			// chunk — fetch it once. An unmaterialized chunk is a full group
-			// of zero pages, whose digest is a process-wide constant.
-			ch := p.persist[start>>chunkShift]
-			if ch == nil && end-start == groupPages {
-				p.groupHash[g] = zeroGroupHash()
-			} else {
-				gh := sha256.New()
-				for pi := start; pi < end; pi++ {
-					ph := zeroPageHash()
-					if ch != nil {
-						if pg := ch.pages[pi&chunkMask]; pg != nil {
-							ph = pg.contentHash()
-						}
-					}
-					gh.Write(ph[:])
-				}
-				gh.Sum(p.groupHash[g][:0])
-			}
-			p.groupOK[g] = true
+			copy(buf[i*sha256.Size:], h[:])
 		}
-		sh := sha256.New()
-		for g := glo; g < ghi; g++ {
-			sh.Write(p.groupHash[g][:])
-		}
-		sh.Sum(p.superHash[s][:0])
+		h := sha256.Sum256(buf[:len(chunks)*sha256.Size])
+		copy(p.fpTop[topHdr+s*sha256.Size:], h[:])
 		p.superOK[s] = true
 	}
-
-	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], p.base)
-	binary.LittleEndian.PutUint64(hdr[8:], p.size)
-	h.Write(hdr[:])
-	for s := 0; s < nsupers; s++ {
-		h.Write(p.superHash[s][:])
-	}
 	nh := p.namesDigestLocked()
-	h.Write(nh[:])
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	copy(p.fpTop[len(p.fpTop)-sha256.Size:], nh[:])
+	p.topHash = sha256.Sum256(p.fpTop)
+	p.topOK = true
+	return p.topHash
 }
 
-// zeroGroupHash returns the digest of a full group of zero pages — the
-// value Fingerprint assigns to any group whose chunk was never
-// materialized. Computed once per process.
-func zeroGroupHash() [32]byte {
-	zeroGroupOnce.Do(func() {
-		h := sha256.New()
-		zp := zeroPageHash()
-		for i := 0; i < groupPages; i++ {
-			h.Write(zp[:])
-		}
-		h.Sum(zeroGroupDigest[:0])
-	})
-	return zeroGroupDigest
-}
-
-var (
-	zeroGroupOnce   sync.Once
-	zeroGroupDigest [32]byte
-)
+// topHdr is the length of the top hash's header: the pool's base and size.
+const topHdr = 16
 
 // namesDigestLocked returns the cached hash of the named-region table,
 // recomputing it after a RegisterNamed invalidation. Callers hold p.mu.

@@ -142,11 +142,9 @@ func ReadImage(r io.Reader) (*Pool, error) {
 		if bytes.Equal(buf[:chunk], zeroPage[:chunk]) {
 			continue
 		}
-		pg := newPage()
+		pg := p.persistWritable(uint64(pi) << lineShift)
 		copy(pg.data[:], buf[:chunk])
-		writableChunk(p.persist, pi>>chunkShift).pages[pi&chunkMask] = pg
-		p.pageZero--
-		p.pagePrivate++
+		pg.dropHashes() // the whole page changed, not one line
 	}
 	shareChunks(p.volatile, p.persist)
 	// The chunk aliasing just re-shared every materialized page.

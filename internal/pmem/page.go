@@ -63,40 +63,81 @@ const (
 	chunkSlots = 1 << chunkShift
 	chunkMask  = chunkSlots - 1
 
-	// groupPages is the fan-in of the fingerprint's lower-middle Merkle
-	// level: one cached group hash covers this many per-page hashes, so an
-	// unchanged 512 KiB span costs nothing per Fingerprint call.
-	// It divides chunkSlots, so a hash group never straddles chunks.
-	groupPages = 128
+	// The fingerprint (Pool.Fingerprint) is a SHA-256 Merkle tree whose
+	// levels are cached on the units that hold the bytes they cover, so an
+	// image inherits its parent's hashes with the pages and chunks it
+	// shares, and a write makes stale only the path above the bytes it
+	// changed:
+	//
+	//	leaf   leafSize bytes of one page      cached on the page
+	//	page   its pageLeaves leaf hashes      cached on the page
+	//	group  groupPages page hashes          cached on the chunk
+	//	chunk  its chunkGroups group hashes    cached on the chunk
+	//	super  superChunks chunk hashes        cached on the pool
+	//	top    header, super hashes, names     cached on the pool
+	//
+	// A copy-before-write page or chunk takes its source's hashes along, so
+	// an image that changes one line rehashes one leaf, its page, its group
+	// and its chunk (512 + 256 + 512 + 1024 bytes) plus its super and the
+	// top, whatever the pool size.
 
-	// superGroups is the fan-in of the upper-middle Merkle level: one
-	// cached super hash covers this many group hashes (32 MiB of address
-	// space), and the top hash reads only the super level — so Fingerprint
-	// on a big pool costs O(dirty pages + pool/32MiB), not O(pool/512KiB).
-	superGroups = 64
+	// leafSize is the span of one leaf hash: eight cache lines.
+	leafSize   = 512
+	pageLeaves = PageSize / leafSize
+	leafLines  = leafSize / LineSize
+	allLeaves  = 1<<pageLeaves - 1
+
+	// groupPages is the fan-in of the group level. It divides chunkSlots,
+	// so a chunk holds chunkGroups whole groups.
+	groupPages  = 16
+	chunkGroups = chunkSlots / groupPages
+	allGroups   = 1<<chunkGroups - 1
+
+	// superChunks is the fan-in of the super level: one cached super hash
+	// covers 32 MiB of address space, and the top hash reads only the super
+	// level, so Fingerprint on a big pool costs O(bytes changed +
+	// pool/32MiB).
+	superChunks = 16
 )
 
-// page is one copy-on-write unit of a pool image, plus its cached content
-// hash (the fingerprint's leaf level). The hash travels with the page: two
-// pools sharing a page also share the work of hashing it.
+// page is one copy-on-write unit of a pool image, plus the fingerprint's two
+// lowest levels over its bytes: one hash per leafSize span and the page hash
+// over those. The hashes travel with the page: two pools sharing a page also
+// share the work of hashing it. They are maintained only while the page is
+// reachable from a persistent directory; a page only a volatile directory
+// reaches (volatile pages never become persistent) may carry stale hashes
+// that nothing reads.
 type page struct {
 	refs int32 // atomic: chunk slots referencing this page
 
-	// hashMu guards hash/hashOK. Concurrent Fingerprint calls on pools
-	// sharing the page serialize here; in-place writes (which require
-	// refs==1, hence no concurrent reader) invalidate hashOK.
+	// hashMu guards the hash caches against concurrent fills: Fingerprint
+	// calls on pools sharing the page serialize here. Writes make them
+	// stale without it (see staleLeaf).
 	hashMu sync.Mutex
-	hashOK bool
-	hash   [32]byte
+	leafOK uint8 // bit i: leaves[i*sha256.Size:] is current
+	hashOK bool  // hash is current
+	hash   [sha256.Size]byte
+	leaves [pageLeaves * sha256.Size]byte
 
 	data [PageSize]byte
 }
 
 // pageChunk is one copy-on-write unit of a page table: chunkSlots
-// consecutive page slots shared between root directories. A chunk's pages
-// array is mutated only while the chunk is privately owned (refs == 1).
+// consecutive page slots shared between root directories, plus the
+// fingerprint's group and chunk levels over them, which travel with the
+// chunk as a page's hashes travel with the page. A chunk's pages array is
+// mutated only while the chunk is privately owned (refs == 1).
 type pageChunk struct {
-	refs  int32 // atomic: root-directory slots referencing this chunk
+	refs int32 // atomic: root-directory slots referencing this chunk
+
+	// hashMu guards the hash caches against concurrent fills, as on page.
+	// It is taken before any page's hashMu, never after.
+	hashMu  sync.Mutex
+	groupOK uint32 // bit g: groups[g*sha256.Size:] is current
+	hashOK  bool   // hash is current
+	hash    [sha256.Size]byte
+	groups  [chunkGroups * sha256.Size]byte
+
 	pages [chunkSlots]*page
 }
 
@@ -131,26 +172,55 @@ var (
 
 	zeroPage [PageSize]byte // read-only zero bytes for nil-page reads
 
-	zeroPageHashOnce sync.Once
-	zeroPageHashVal  [32]byte
+	zeroHashes = newZeroTree()
 )
 
-// newPage returns a zeroed page with refcount 1.
+// zeroTree holds the fingerprint's values for all-zero storage: a fresh page
+// or chunk starts with them, and a nil chunk slot or directory entry stands
+// for them.
+type zeroTree struct {
+	leaves [pageLeaves * sha256.Size]byte // a zero page's leaf level
+	page   [sha256.Size]byte
+	groups [chunkGroups * sha256.Size]byte // an all-nil chunk's group level
+	chunk  [sha256.Size]byte
+}
+
+func newZeroTree() *zeroTree {
+	z := new(zeroTree)
+	fillHashes(z.leaves[:], sha256.Sum256(zeroPage[:leafSize]))
+	z.page = sha256.Sum256(z.leaves[:])
+	var group [groupPages * sha256.Size]byte
+	fillHashes(group[:], z.page)
+	fillHashes(z.groups[:], sha256.Sum256(group[:]))
+	z.chunk = sha256.Sum256(z.groups[:])
+	return z
+}
+
+// fillHashes writes h into every hash slot of dst.
+func fillHashes(dst []byte, h [sha256.Size]byte) {
+	for i := 0; i < len(dst); i += sha256.Size {
+		copy(dst[i:], h[:])
+	}
+}
+
+// newPage returns a zeroed page with refcount 1, its hashes those of zero
+// bytes.
 func newPage() *page {
 	pg := pagePool.Get().(*page)
 	pg.refs = 1
-	pg.hashOK = false
 	pg.data = [PageSize]byte{}
+	pg.leafOK, pg.leaves = allLeaves, zeroHashes.leaves
+	pg.hashOK, pg.hash = true, zeroHashes.page
 	return pg
 }
 
-// newPageCopy returns a private copy of src with refcount 1. The hash cache
-// is not carried over: copies exist to be written to.
+// newPageCopy returns a private copy of src with refcount 1 and no current
+// hash: a persistent copy takes src's with copyHashes.
 func newPageCopy(src *page) *page {
 	pg := pagePool.Get().(*page)
 	pg.refs = 1
-	pg.hashOK = false
 	pg.data = src.data
+	pg.dropHashes()
 	return pg
 }
 
@@ -168,12 +238,19 @@ func (pg *page) release() {
 // shared reports whether the page is referenced by more than one chunk slot.
 func (pg *page) shared() bool { return atomic.LoadInt32(&pg.refs) > 1 }
 
-// contentHash returns the page's SHA-256, computing and caching it on first
-// use. Safe to call from multiple pools sharing the page.
-func (pg *page) contentHash() [32]byte {
+// contentHash returns the page hash, first rehashing every stale leaf. Safe
+// to call from multiple pools sharing the page.
+func (pg *page) contentHash() [sha256.Size]byte {
 	pg.hashMu.Lock()
 	if !pg.hashOK {
-		pg.hash = sha256.Sum256(pg.data[:])
+		for i := 0; i < pageLeaves; i++ {
+			if pg.leafOK&(1<<i) == 0 {
+				h := sha256.Sum256(pg.data[i*leafSize : (i+1)*leafSize])
+				copy(pg.leaves[i*sha256.Size:], h[:])
+			}
+		}
+		pg.leafOK = allLeaves
+		pg.hash = sha256.Sum256(pg.leaves[:])
 		pg.hashOK = true
 	}
 	h := pg.hash
@@ -181,35 +258,48 @@ func (pg *page) contentHash() [32]byte {
 	return h
 }
 
-// invalidateHash marks the cached hash stale. Callers hold the owning
-// pool's mutex and the page privately (refs==1), so no Fingerprint can be
-// reading concurrently; the mutex is still taken to order the write against
-// a hash computed while the page was previously shared.
-func (pg *page) invalidateHash() {
-	pg.hashMu.Lock()
+// copyHashes gives pg, a fresh copy of src, src's hashes. src may be shared,
+// so its lock is taken: another pool may be filling them.
+func (pg *page) copyHashes(src *page) {
+	src.hashMu.Lock()
+	pg.leafOK, pg.leaves = src.leafOK, src.leaves
+	pg.hashOK, pg.hash = src.hashOK, src.hash
+	src.hashMu.Unlock()
+}
+
+// staleLeaf marks the hash of leaf i, and so the page hash, stale. Callers
+// hold the owning pool's mutex and the page privately (refs == 1), so no
+// other pool can reach it, and the atomic refcount drop that made it private
+// orders every earlier fill by a former sharer before this write — the same
+// ordering that lets the caller write the page's bytes in place. No lock is
+// taken.
+func (pg *page) staleLeaf(i int) {
+	pg.leafOK &^= 1 << i
 	pg.hashOK = false
-	pg.hashMu.Unlock()
 }
 
-// zeroPageHash is the cached SHA-256 of an all-zero page — the leaf hash of
-// every nil table entry.
-func zeroPageHash() [32]byte {
-	zeroPageHashOnce.Do(func() { zeroPageHashVal = sha256.Sum256(zeroPage[:]) })
-	return zeroPageHashVal
+// dropHashes marks every hash of the page stale, under the same ownership
+// rule as staleLeaf.
+func (pg *page) dropHashes() {
+	pg.leafOK, pg.hashOK = 0, false
 }
 
-// newChunk returns an all-nil chunk with refcount 1. Recycled chunks come
-// back clean: release nils every slot before handing the chunk to the pool.
+// newChunk returns an all-nil chunk with refcount 1, its hashes those of
+// zero pages. Recycled chunks come back clean: release nils every slot
+// before handing the chunk to the pool.
 func newChunk() *pageChunk {
 	ch := chunkPool.Get().(*pageChunk)
 	ch.refs = 1
+	ch.groupOK, ch.groups = allGroups, zeroHashes.groups
+	ch.hashOK, ch.hash = true, zeroHashes.chunk
 	return ch
 }
 
 // newChunkCopy returns a private duplicate of src with refcount 1, retaining
-// every page it copies. The retains happen before the caller drops its
-// reference to src, so no page's count can touch zero mid-duplication even
-// while other pools release the same chunk concurrently.
+// every page it copies and taking src's hashes. The retains happen before
+// the caller drops its reference to src, so no page's count can touch zero
+// mid-duplication even while other pools release the same chunk
+// concurrently.
 func newChunkCopy(src *pageChunk) *pageChunk {
 	ch := chunkPool.Get().(*pageChunk)
 	ch.refs = 1
@@ -219,7 +309,49 @@ func newChunkCopy(src *pageChunk) *pageChunk {
 			pg.retain()
 		}
 	}
+	src.hashMu.Lock()
+	ch.groupOK, ch.groups = src.groupOK, src.groups
+	ch.hashOK, ch.hash = src.hashOK, src.hash
+	src.hashMu.Unlock()
 	return ch
+}
+
+// contentHash returns the chunk hash, first rehashing every stale group from
+// its pages' hashes (nil slots read the zero page's). Safe to call from
+// multiple pools sharing the chunk.
+func (ch *pageChunk) contentHash() [sha256.Size]byte {
+	ch.hashMu.Lock()
+	if !ch.hashOK {
+		for g := 0; g < chunkGroups; g++ {
+			if ch.groupOK&(1<<g) != 0 {
+				continue
+			}
+			var buf [groupPages * sha256.Size]byte
+			for i, pg := range ch.pages[g*groupPages : (g+1)*groupPages] {
+				ph := zeroHashes.page
+				if pg != nil {
+					ph = pg.contentHash()
+				}
+				copy(buf[i*sha256.Size:], ph[:])
+			}
+			h := sha256.Sum256(buf[:])
+			copy(ch.groups[g*sha256.Size:], h[:])
+		}
+		ch.groupOK = allGroups
+		ch.hash = sha256.Sum256(ch.groups[:])
+		ch.hashOK = true
+	}
+	h := ch.hash
+	ch.hashMu.Unlock()
+	return h
+}
+
+// staleSlot marks the hash of the group holding slot si, and so the chunk
+// hash, stale. The ownership rule of page.staleLeaf applies: callers hold
+// the chunk privately, and no lock is taken.
+func (ch *pageChunk) staleSlot(si int) {
+	ch.groupOK &^= 1 << (si / groupPages)
+	ch.hashOK = false
 }
 
 // retain adds one root-directory reference.
@@ -459,38 +591,39 @@ func (p *Pool) volatileWritable(pi int) *page {
 	return pg
 }
 
-// persistWritable is volatileWritable for the persistent table. It also
-// invalidates the page's cached hash and the covering fingerprint group
-// (persistent bytes are about to change) and maintains the incremental
-// PageStats composition counters: materializing or unsharing a page is
-// exactly the zero→private and shared→private transition.
-func (p *Pool) persistWritable(pi int) *page {
-	if p.groupOK != nil {
-		g := pi / groupPages
-		p.groupOK[g] = false
-		if p.superOK != nil {
-			p.superOK[g/superGroups] = false
-		}
+// persistWritable is volatileWritable for the persistent table, for a write
+// to cache line l. It also makes stale the fingerprint path above l — its
+// leaf, page, group, chunk and super hashes and the top hash — and maintains
+// the incremental PageStats composition counters: materializing or
+// unsharing a page is exactly the zero→private and shared→private
+// transition. A copy-before-write page or chunk keeps its source's hashes,
+// so only that path is rehashed.
+func (p *Pool) persistWritable(l uint64) *page {
+	pi := int(l >> lineShift)
+	ci, si := pi>>chunkShift, pi&chunkMask
+	p.topOK = false
+	if p.superOK != nil {
+		p.superOK[ci/superChunks] = false
 	}
-	ch := writableChunk(p.persist, pi>>chunkShift)
-	si := pi & chunkMask
+	ch := writableChunk(p.persist, ci)
+	ch.staleSlot(si)
 	pg := ch.pages[si]
-	if pg == nil {
+	switch {
+	case pg == nil:
 		pg = newPage()
 		ch.pages[si] = pg
 		p.pageZero--
 		p.pagePrivate++
-		return pg
-	}
-	if pg.shared() {
+	case pg.shared():
 		np := newPageCopy(pg)
+		np.copyHashes(pg)
 		pg.release()
 		ch.pages[si] = np
+		pg = np
 		p.pageShared--
 		p.pagePrivate++
-		return np
 	}
-	pg.invalidateHash()
+	pg.staleLeaf(int(l&lineMask) / leafLines)
 	return pg
 }
 

@@ -82,18 +82,18 @@ type Pool struct {
 	dirtyLineCount   int
 	pendingLineCount int
 
-	// groupHash/groupOK and superHash/superOK cache the fingerprint's two
-	// middle Merkle levels: one hash per groupPages consecutive persistent
-	// pages, rolled up into one hash per superGroups consecutive groups.
-	// persistWritable invalidates the covering entry at both levels, so a
-	// Fingerprint after k dirtied pages rehashes O(k) pages plus their
-	// groups and supers — never the whole directory. Allocated on first
-	// Fingerprint; Crash hands the caches down to snapshots (shared pages
-	// have identical content).
-	groupHash [][32]byte
-	groupOK   []bool
-	superHash [][32]byte
-	superOK   []bool
+	// fpTop, superOK and topHash/topOK cache the fingerprint's pool-level
+	// Merkle levels; the levels below live on the shared chunks and pages
+	// (see page.go). fpTop is the top hash's preimage — base and size, one
+	// super hash per superChunks directory entries (32 MiB), the names
+	// digest — and superOK flags its current super hashes. persistWritable
+	// makes the covering super and the top hash stale. Allocated on first
+	// Fingerprint; Crash and Fork hand them down to the clone (33 bytes
+	// per 32 MiB), whose shared chunks carry the rest.
+	fpTop   []byte
+	superOK []bool
+	topHash [32]byte
+	topOK   bool
 
 	// sortedNames and namesHash cache the named-region table's sort order
 	// and content hash for Fingerprint and region replay; RegisterNamed
@@ -465,8 +465,7 @@ func (p *Pool) commitPending() (changed bool) {
 		staged := m.pending[lo : lo+LineSize]
 		if !bytes.Equal(p.persistLine(l), staged) {
 			changed = true
-			pg := p.persistWritable(int(l >> lineShift))
-			copy(pg.data[lo:lo+LineSize], staged)
+			copy(p.persistWritable(l).data[lo:lo+LineSize], staged)
 		}
 		if st == linePending {
 			m.state[li] = lineClean
@@ -596,11 +595,12 @@ func (p *Pool) sortedNamesLocked() []string {
 	return p.sortedNames
 }
 
-// invalidateNamesLocked drops the sorted-order and hash caches after a
-// named-region change. Callers hold p.mu.
+// invalidateNamesLocked drops the sorted-order and hash caches, and the
+// fingerprint's top hash, after a named-region change. Callers hold p.mu.
 func (p *Pool) invalidateNamesLocked() {
 	p.sortedNames = nil
 	p.namesHashOK = false
+	p.topOK = false
 }
 
 // End signals the end of the program under test. Detectors run their final
