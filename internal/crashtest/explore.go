@@ -356,11 +356,11 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 		var shadowFP [32]byte
 		if cfg.Dedup {
 			// The shadow's fingerprint is the base of every outcome key at
-			// this boundary. Computing it also refreshes the fork's Merkle
-			// group caches, so every snapshot inherits them warm: each
-			// image's Fingerprint then rehashes only the pages its
-			// pending-line policy touched, instead of every group dirtied
-			// since the segment began.
+			// this boundary. Computing it also refreshes the hashes cached
+			// on the fork's chunks and pages and on the fork itself, so
+			// every snapshot inherits them warm: each image's Fingerprint
+			// then rehashes only the path above the lines its outcome
+			// wrote, instead of everything dirtied since the segment began.
 			start := time.Now()
 			shadowFP = shadow.Fingerprint()
 			s.fpNanos += time.Since(start).Nanoseconds()
