@@ -114,8 +114,7 @@ type page struct {
 	// calls on pools sharing the page serialize here. Writes make them
 	// stale without it (see staleLeaf).
 	hashMu sync.Mutex
-	leafOK uint8 // bit i: leaves[i*sha256.Size:] is current
-	hashOK bool  // hash is current
+	leafOK uint8 // bit i: leaves[i*sha256.Size:] is current; all set: hash is too
 	hash   [sha256.Size]byte
 	leaves [pageLeaves * sha256.Size]byte
 
@@ -133,8 +132,7 @@ type pageChunk struct {
 	// hashMu guards the hash caches against concurrent fills, as on page.
 	// It is taken before any page's hashMu, never after.
 	hashMu  sync.Mutex
-	groupOK uint32 // bit g: groups[g*sha256.Size:] is current
-	hashOK  bool   // hash is current
+	groupOK uint32 // bit g: groups[g*sha256.Size:] is current; all set: hash is too
 	hash    [sha256.Size]byte
 	groups  [chunkGroups * sha256.Size]byte
 
@@ -209,8 +207,7 @@ func newPage() *page {
 	pg := pagePool.Get().(*page)
 	pg.refs = 1
 	pg.data = [PageSize]byte{}
-	pg.leafOK, pg.leaves = allLeaves, zeroHashes.leaves
-	pg.hashOK, pg.hash = true, zeroHashes.page
+	pg.leafOK, pg.leaves, pg.hash = allLeaves, zeroHashes.leaves, zeroHashes.page
 	return pg
 }
 
@@ -242,7 +239,7 @@ func (pg *page) shared() bool { return atomic.LoadInt32(&pg.refs) > 1 }
 // to call from multiple pools sharing the page.
 func (pg *page) contentHash() [sha256.Size]byte {
 	pg.hashMu.Lock()
-	if !pg.hashOK {
+	if pg.leafOK != allLeaves {
 		for i := 0; i < pageLeaves; i++ {
 			if pg.leafOK&(1<<i) == 0 {
 				h := sha256.Sum256(pg.data[i*leafSize : (i+1)*leafSize])
@@ -251,7 +248,6 @@ func (pg *page) contentHash() [sha256.Size]byte {
 		}
 		pg.leafOK = allLeaves
 		pg.hash = sha256.Sum256(pg.leaves[:])
-		pg.hashOK = true
 	}
 	h := pg.hash
 	pg.hashMu.Unlock()
@@ -262,8 +258,7 @@ func (pg *page) contentHash() [sha256.Size]byte {
 // so its lock is taken: another pool may be filling them.
 func (pg *page) copyHashes(src *page) {
 	src.hashMu.Lock()
-	pg.leafOK, pg.leaves = src.leafOK, src.leaves
-	pg.hashOK, pg.hash = src.hashOK, src.hash
+	pg.leafOK, pg.leaves, pg.hash = src.leafOK, src.leaves, src.hash
 	src.hashMu.Unlock()
 }
 
@@ -275,13 +270,12 @@ func (pg *page) copyHashes(src *page) {
 // taken.
 func (pg *page) staleLeaf(i int) {
 	pg.leafOK &^= 1 << i
-	pg.hashOK = false
 }
 
 // dropHashes marks every hash of the page stale, under the same ownership
 // rule as staleLeaf.
 func (pg *page) dropHashes() {
-	pg.leafOK, pg.hashOK = 0, false
+	pg.leafOK = 0
 }
 
 // newChunk returns an all-nil chunk with refcount 1, its hashes those of
@@ -290,8 +284,7 @@ func (pg *page) dropHashes() {
 func newChunk() *pageChunk {
 	ch := chunkPool.Get().(*pageChunk)
 	ch.refs = 1
-	ch.groupOK, ch.groups = allGroups, zeroHashes.groups
-	ch.hashOK, ch.hash = true, zeroHashes.chunk
+	ch.groupOK, ch.groups, ch.hash = allGroups, zeroHashes.groups, zeroHashes.chunk
 	return ch
 }
 
@@ -310,8 +303,7 @@ func newChunkCopy(src *pageChunk) *pageChunk {
 		}
 	}
 	src.hashMu.Lock()
-	ch.groupOK, ch.groups = src.groupOK, src.groups
-	ch.hashOK, ch.hash = src.hashOK, src.hash
+	ch.groupOK, ch.groups, ch.hash = src.groupOK, src.groups, src.hash
 	src.hashMu.Unlock()
 	return ch
 }
@@ -321,7 +313,7 @@ func newChunkCopy(src *pageChunk) *pageChunk {
 // multiple pools sharing the chunk.
 func (ch *pageChunk) contentHash() [sha256.Size]byte {
 	ch.hashMu.Lock()
-	if !ch.hashOK {
+	if ch.groupOK != allGroups {
 		for g := 0; g < chunkGroups; g++ {
 			if ch.groupOK&(1<<g) != 0 {
 				continue
@@ -339,7 +331,6 @@ func (ch *pageChunk) contentHash() [sha256.Size]byte {
 		}
 		ch.groupOK = allGroups
 		ch.hash = sha256.Sum256(ch.groups[:])
-		ch.hashOK = true
 	}
 	h := ch.hash
 	ch.hashMu.Unlock()
@@ -351,7 +342,6 @@ func (ch *pageChunk) contentHash() [sha256.Size]byte {
 // the chunk privately, and no lock is taken.
 func (ch *pageChunk) staleSlot(si int) {
 	ch.groupOK &^= 1 << (si / groupPages)
-	ch.hashOK = false
 }
 
 // retain adds one root-directory reference.
