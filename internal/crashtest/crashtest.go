@@ -164,7 +164,10 @@ type Result struct {
 	// into phases so dispatcher-vs-checker balance is visible per workload:
 	// recording the journal (the single full program execution), replaying
 	// journal events into shadow pools (both passes), materializing crash
-	// images, fingerprinting for deduplication, and running the checker.
+	// images (selecting each image's pending-line outcome and building it,
+	// with or without Dedup), fingerprinting for deduplication (the shadow's
+	// and each built image's Fingerprint and every outcome key), and
+	// running the checker.
 	// Replay, snapshot, fingerprint and check times are summed across
 	// concurrent dispatchers and workers, so they can exceed wall-clock
 	// time. RunSerial leaves them zero.

@@ -306,13 +306,15 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 		hashes = make(map[[32]byte]*imageJob)
 		memo = make(map[[32]byte]*imageJob)
 	}
-	// One coin sequence per seed for the whole segment: every image is
-	// SelectCrash followed by CrashWith, so no boundary reseeds a source.
+	// One coin sequence and one outcome per seed for the whole segment:
+	// every image is SelectCrash followed by CrashWith, so no boundary
+	// reseeds a source, and each outcome's buffers are reused.
 	coins := make([]*pmem.CrashCoins, len(seeds))
 	for si, seed := range seeds {
 		coins[si] = pmem.NewCrashCoins(seed)
 	}
-	var outcome pmem.CrashOutcome
+	outcomes := make([]pmem.CrashOutcome, len(seeds))
+	keys := make([][32]byte, len(seeds))
 	reuse := func(jb *imageJob, point uint64, si int) {
 		s.dedup++
 		jb.refs = append(jb.refs, pointRef{point: point, seedIdx: si})
@@ -365,20 +367,32 @@ func (s *segment) dispatch(cfg *Config, journal *trace.Journal, points []uint64,
 			shadowFP = shadow.Fingerprint()
 			s.fpNanos += time.Since(start).Nanoseconds()
 		}
+		// Select every seed's outcome, then key them all. Selection is
+		// part of building an image, so it counts as snapshot time with or
+		// without Dedup; the keys count as fingerprint time. Timing each
+		// batch once keeps clock reads off the per-seed memo hits.
+		start := time.Now()
 		for si := range seeds {
-			start := time.Now()
-			shadow.SelectCrash(cfg.Policy, coins[si], &outcome)
-			var key [32]byte
+			shadow.SelectCrash(cfg.Policy, coins[si], &outcomes[si])
+		}
+		selected := time.Since(start)
+		s.snapNanos += selected.Nanoseconds()
+		if cfg.Dedup {
+			for si := range seeds {
+				keys[si] = outcomes[si].Key(shadowFP)
+			}
+			s.fpNanos += (time.Since(start) - selected).Nanoseconds()
+		}
+		for si := range seeds {
+			key := keys[si]
 			if cfg.Dedup {
-				key = outcome.Key(shadowFP)
-				s.fpNanos += time.Since(start).Nanoseconds()
 				if jb, ok := memo[key]; ok {
 					reuse(jb, point, si)
 					continue
 				}
-				start = time.Now()
 			}
-			img := shadow.CrashWith(&outcome)
+			start := time.Now()
+			img := shadow.CrashWith(&outcomes[si])
 			s.snapNanos += time.Since(start).Nanoseconds()
 			var fp [32]byte
 			if cfg.Dedup {
