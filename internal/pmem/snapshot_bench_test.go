@@ -80,6 +80,13 @@ func TestSnapshotAllocsConstant(t *testing.T) {
 // that grows with the pool. Hashes kept in per-pool arrays of finer
 // granularity would show as kilobytes per image at 1 GiB.
 func TestFingerprintCostConstant(t *testing.T) {
+	// A clone copies fpTop (header, one hash per super, names digest) and
+	// superOK.
+	superBytes := func(mib int) int {
+		n := (mib/2 + superChunks - 1) / superChunks
+		return sizeClass(topHdr+(n+1)*32) + sizeClass(n)
+	}
+	growth := float64(superBytes(1024) - superBytes(16))
 	for _, policy := range []CrashPolicy{CrashDropPending, CrashApplyPending} {
 		var allocs, allocd [2]float64
 		for i, mib := range []uint64{16, 1024} {
@@ -102,16 +109,6 @@ func TestFingerprintCostConstant(t *testing.T) {
 				img.Release()
 			})
 			p.Release()
-		}
-		// The clone's fpTop (header, one hash per super, names digest) and
-		// superOK.
-		supers := func(mib int) int { return (mib/2 + superChunks - 1) / superChunks }
-		growth := 0.0
-		for _, n := range []func(int) int{
-			func(mib int) int { return topHdr + (supers(mib)+1)*32 },
-			supers,
-		} {
-			growth += float64(sizeClass(n(1024)) - sizeClass(n(16)))
 		}
 		t.Logf("policy %d: %v allocations and %v bytes at 16 MiB and 1 GiB, bound %v bytes",
 			policy, allocs, allocd, growth)
