@@ -272,7 +272,8 @@ func StreamTrace(r io.Reader, h Handler) (int, error) {
 	}
 	defer tr.Close()
 	total := 0
-	batch := make([]Event, StreamBatchSize)
+	batch := getSlab()
+	defer putSlab(batch)
 	bh, batched := h.(BatchHandler)
 	for {
 		n, err := tr.ReadBatch(batch)

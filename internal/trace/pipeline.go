@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -35,9 +36,12 @@ import (
 //     producer appended for it — for a pmem.Pool that is the
 //     pool-serialized, Seq-stamped stream, and reports are byte-identical
 //     to inline delivery.
-//   - Bounded memory. Each ring recycles depth slabs of DefaultBatchSize
-//     events; when a consumer falls behind, the producer blocks on the next
-//     free slab (backpressure) instead of growing a queue.
+//   - Bounded memory. A ring holds no slab until its first event and takes
+//     one each time its staging slab fills: a slab its consumer recycled,
+//     else one from a pool shared by every pipeline, up to depth slabs of
+//     DefaultBatchSize events. With depth slabs out, the producer blocks on
+//     the next recycled slab (backpressure) instead of growing a queue.
+//     Close returns the ring's slabs to the pool.
 //   - Sync barrier. Sync returns only after every event appended before
 //     the call has been delivered to its handler; the pool invokes it
 //     before crash-trap panics, crash-image snapshots and final checks.
@@ -56,8 +60,8 @@ import (
 //     delivery benchmark's workloads, eager beat lazy drain at two Ps and
 //     matched it at one (EXPERIMENTS.md).
 //   - Lazy: consumers park and slabs accumulate in the rings; analysis
-//     runs when Sync or Close demands it, or when a ring runs out of
-//     recycled slabs. This is the tracing-then-analysis decoupling of
+//     runs when Sync or Close demands it, or when a ring holds depth full
+//     slabs and needs another. This is the tracing-then-analysis decoupling of
 //     offline-trace debuggers (WITCHER's architecture). Only a pmserved
 //     session that asks for drain=lazy uses it. Delivery order and reports
 //     are identical in both disciplines.
@@ -78,15 +82,16 @@ type Sharder interface {
 	ShardHandlers() []Handler
 }
 
-// DefaultPipelineDepth is the default number of slabs in a ring. With
-// DefaultBatchSize 40-byte events per slab each ring stays within a couple
-// of megabytes while giving its consumer enough runway to absorb emission
-// bursts.
+// DefaultPipelineDepth is the default cap on the slabs a ring holds. With
+// DefaultBatchSize 40-byte events per slab a ring stays within a couple of
+// megabytes while giving its consumer enough runway to absorb emission
+// bursts; a ring takes its slabs as events arrive, so one that carries a
+// short stream holds only the slabs that stream fills.
 const DefaultPipelineDepth = 8
 
 // PipelineOptions configures NewPipeline.
 type PipelineOptions struct {
-	// Depth is the number of slabs in each ring (0 = DefaultPipelineDepth,
+	// Depth caps the slabs each ring holds (0 = DefaultPipelineDepth,
 	// minimum 2: one slab staging while one drains — the double buffer).
 	// Every caller outside tests uses the default; tests shrink it to reach
 	// backpressure and ring exhaustion.
@@ -180,15 +185,16 @@ func (p *Pipeline) Sync() {
 }
 
 // Close drains every ring and stops the consumer goroutines, concurrently,
-// returning once each handler has seen every staged event. Close is
-// idempotent; after it returns, Sync is a no-op and HandleEvent,
-// HandleBatch and StrandSlot panic.
+// returning once each handler has seen every staged event and every slab is
+// back in the shared pool. Close is idempotent; after it returns, Sync is a
+// no-op and HandleEvent, HandleBatch and StrandSlot panic.
 func (p *Pipeline) Close() {
 	for i, r := range p.rings {
 		p.waits[i] = r.closeBegin()
 	}
-	for _, c := range p.waits {
+	for i, c := range p.waits {
 		<-c
+		p.rings[i].release()
 	}
 }
 
@@ -291,14 +297,19 @@ type ring struct {
 	h  Handler
 	bh BatchHandler // non-nil when h implements the batch fast path
 
-	// cur is the staging slab, always full-length; n is the fill cursor.
-	// Producers write events in place at cur[n] (slot) so an event is
-	// stored exactly once, with no intermediate copies.
+	// cur is the staging slab, full-length, or nil while the ring stages
+	// nothing; n is the fill cursor (0 whenever cur is nil). Producers write
+	// events in place at cur[n] (slot) so an event is stored exactly once,
+	// with no intermediate copies.
 	cur  []Event
 	n    int
 	full chan slabMsg // filled slabs and sync markers, FIFO to the consumer
 	free chan []Event // recycled slabs
 	done chan struct{}
+
+	// slabs counts the slabs the ring has taken from the pool, at most
+	// depth. Producer side only.
+	slabs, depth int
 
 	// lazy selects the deferred drain discipline; kick (buffered, capacity
 	// 1) wakes the parked consumer when a drain is required.
@@ -321,6 +332,19 @@ type slabMsg struct {
 	sync chan struct{} // when non-nil, closed once all prior slabs drained
 }
 
+// eventSlabs holds DefaultBatchSize-event slabs for every ring and stream
+// decoder in the process, so a short-lived pipeline reuses the slabs of one
+// that closed instead of allocating (and faulting in) its own. It stores
+// array pointers, which an interface holds without allocating.
+var eventSlabs = sync.Pool{
+	New: func() any { return new([DefaultBatchSize]Event) },
+}
+
+func getSlab() []Event { return eventSlabs.Get().(*[DefaultBatchSize]Event)[:] }
+
+// putSlab returns a slab taken by getSlab; it must be full-length again.
+func putSlab(s []Event) { eventSlabs.Put((*[DefaultBatchSize]Event)(s)) }
+
 func newRing(h Handler, opts PipelineOptions) *ring {
 	depth := opts.Depth
 	if depth == 0 {
@@ -330,27 +354,19 @@ func newRing(h Handler, opts PipelineOptions) *ring {
 		depth = 2
 	}
 	r := &ring{
-		h:    h,
-		full: make(chan slabMsg, depth),
-		free: make(chan []Event, depth),
-		done: make(chan struct{}),
-		lazy: opts.Lazy,
-		kick: make(chan struct{}, 1),
+		h: h,
+		// Every slab the ring holds may wait in full at once, with the one
+		// sync marker a ring can have in flight behind them.
+		full:  make(chan slabMsg, depth+1),
+		free:  make(chan []Event, depth), // every slab the ring holds
+		done:  make(chan struct{}),
+		depth: depth,
+		lazy:  opts.Lazy,
+		kick:  make(chan struct{}, 1),
 	}
 	if bh, ok := h.(BatchHandler); ok {
 		r.bh = bh
 	}
-	for i := 0; i < depth; i++ {
-		slab := make([]Event, DefaultBatchSize)
-		// Touch every page now: a large make is backed by lazily-mapped
-		// zero pages, and without this the first-touch faults would be
-		// charged to the producer's hot path instead of setup.
-		for j := range slab {
-			slab[j].Seq = 1
-		}
-		r.free <- slab
-	}
-	r.cur = <-r.free
 	go r.consume()
 	return r
 }
@@ -385,25 +401,45 @@ func (r *ring) HandleBatch(evs []Event) {
 	}
 }
 
-// handoff ships the staging slab (if non-empty) and pulls a recycled one,
-// blocking when the consumer is behind — the constant-memory backpressure.
-// A full ring wakes a lazy consumer first, so backpressure degrades into
-// concurrent draining rather than deadlock.
+// handoff ships the full staging slab, if there is one, and takes the next:
+// a recycled slab, else a pooled one while the ring holds fewer than depth,
+// else the next slab the consumer recycles, blocking when the consumer is
+// behind — the constant-memory backpressure. A ring out of slabs wakes a
+// lazy consumer first, so backpressure degrades into concurrent draining
+// rather than deadlock.
 func (r *ring) handoff() {
+	r.ship()
+	select {
+	case r.cur = <-r.free:
+		return
+	default:
+	}
+	if r.slabs < r.depth {
+		r.slabs++
+		r.cur = getSlab()
+		return
+	}
+	r.wake() // every slab is staged in full: the consumer must drain now
+	r.cur = <-r.free
+}
+
+// ship hands the staged events, if any, to the consumer and leaves the ring
+// without a staging slab. It never blocks: full has room for every slab the
+// ring holds plus its one in-flight sync marker.
+func (r *ring) ship() {
 	if r.n == 0 {
 		return
 	}
-	// Never blocks: at most depth slabs exist, one is in r.cur, so the full
-	// ring holds at most depth-1 of them (plus at most one in-flight sync
-	// marker, which occupies the slot the staged slab frees).
 	r.full <- slabMsg{evs: r.cur[:r.n]}
-	select {
-	case r.cur = <-r.free:
-	default:
-		r.wake() // no recycled slab ready: the consumer must drain now
-		r.cur = <-r.free
+	r.cur, r.n = nil, 0
+}
+
+// release returns the ring's slabs to the pool. It runs once the consumer
+// has exited, when every slab the ring took is back in its free list.
+func (r *ring) release() {
+	for ; r.slabs > 0; r.slabs-- {
+		putSlab(<-r.free)
 	}
-	r.n = 0
 }
 
 // wake nudges a parked lazy consumer; it is a no-op when a wake is already
@@ -418,18 +454,19 @@ func (r *ring) wake() {
 	}
 }
 
-// syncBegin posts a sync marker and returns the channel the consumer
-// closes once every prior event has been delivered, without waiting. At
-// most one marker may be in flight per ring (the producer side is
-// externally serialized, so posting the next after receiving the previous
-// preserves this). After close it returns a closed channel.
+// syncBegin ships the staged events and posts a sync marker behind them,
+// returning the channel the consumer closes once every prior event has
+// been delivered, without waiting. At most one marker may be in flight per
+// ring (the producer side is externally serialized, so posting the next
+// after receiving the previous preserves this). After close it returns a
+// closed channel.
 func (r *ring) syncBegin() <-chan struct{} {
 	c := make(chan struct{})
 	if r.closed {
 		close(c)
 		return c
 	}
-	r.handoff()
+	r.ship()
 	r.full <- slabMsg{sync: c}
 	r.wake()
 	return c
@@ -441,7 +478,7 @@ func (r *ring) syncBegin() <-chan struct{} {
 func (r *ring) closeBegin() <-chan struct{} {
 	if !r.closed {
 		r.closed = true
-		r.handoff()
+		r.ship()
 		close(r.full)
 		r.wake()
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // collectHandler records events and can artificially stall to exercise
@@ -215,6 +216,63 @@ func TestPipelineLazyRepeatedSync(t *testing.T) {
 		}
 	}
 	p.Close()
+}
+
+// TestPipelineLazySlabs checks a ring takes its slabs as events arrive:
+// none before its first event, the two that 5,000 events fill, never more
+// than its depth however much it is fed, and none once closed.
+func TestPipelineLazySlabs(t *testing.T) {
+	const total = 5 * DefaultPipelineDepth * DefaultBatchSize
+	evs := mkEvents(total)
+	h := &collectHandler{}
+	p := NewPipeline(h, PipelineOptions{Lazy: true})
+	r := p.rings[0]
+	if r.slabs != 0 || r.cur != nil {
+		t.Fatalf("ring holds %d slabs before its first event", r.slabs)
+	}
+	p.HandleBatch(evs[:5000])
+	p.Sync()
+	if r.slabs != 2 {
+		t.Fatalf("ring holds %d slabs after 5000 events, want 2", r.slabs)
+	}
+	for off := 5000; off < total; off += DefaultBatchSize / 2 {
+		p.HandleBatch(evs[off:min(off+DefaultBatchSize/2, total)])
+		if r.slabs > DefaultPipelineDepth {
+			t.Fatalf("ring holds %d slabs after %d events, depth %d", r.slabs, off, DefaultPipelineDepth)
+		}
+	}
+	if r.slabs != DefaultPipelineDepth {
+		t.Fatalf("parked ring fed %d slabs holds %d, want its depth %d",
+			total/DefaultBatchSize, r.slabs, DefaultPipelineDepth)
+	}
+	p.Close()
+	if r.slabs != 0 || len(r.free) != 0 {
+		t.Fatalf("closed ring holds %d slabs (%d recycled)", r.slabs, len(r.free))
+	}
+	checkStream(t, h.events, total)
+}
+
+// TestPipelineSyncBehindFullRing syncs a ring whose every slab is full and
+// not yet drained: the marker must find room behind them, or a parked lazy
+// consumer is never woken.
+func TestPipelineSyncBehindFullRing(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		h := &collectHandler{}
+		p := NewPipeline(h, PipelineOptions{Depth: 2, Lazy: lazy})
+		p.HandleBatch(mkEvents(2 * DefaultBatchSize))
+		done := make(chan struct{})
+		go func() {
+			p.Sync()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("lazy=%v: Sync behind 2 full slabs of a depth-2 ring hung", lazy)
+		}
+		checkStream(t, h.events, 2*DefaultBatchSize)
+		p.Close()
+	}
 }
 
 // TestPipelineRecorderEquivalence checks a recorded pipelined stream is
