@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"time"
 
 	"pmdebugger/internal/rules"
@@ -145,14 +146,16 @@ func (s *Session) Report() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(s.br, buf); err != nil {
+	// The length is the server's word, so memory follows the bytes that
+	// arrive rather than the length it announced.
+	var body strings.Builder
+	if _, err := io.CopyN(&body, s.br, int64(size)); err != nil {
 		return "", fmt.Errorf("serve: report body read: %w", err)
 	}
 	if status != "ok" {
-		return string(buf), fmt.Errorf("serve: session %s finalized as %s", s.id, status)
+		return body.String(), fmt.Errorf("serve: session %s finalized as %s", s.id, status)
 	}
-	return string(buf), nil
+	return body.String(), nil
 }
 
 // Close abandons the session without waiting for a report: staged records

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 )
@@ -130,8 +131,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) Sessions() []SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SessionInfo, 0, len(s.sessions))
+	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
+	}
+	sort.Slice(sessions, func(i, j int) bool { return sessions[i].seq < sessions[j].seq })
+	out := make([]SessionInfo, 0, len(sessions))
+	for _, sess := range sessions {
 		state, _, failErr := sess.snapshotState()
 		sess.mu.Lock()
 		info := SessionInfo{
@@ -148,12 +154,6 @@ func (s *Server) Sessions() []SessionInfo {
 		}
 		sess.mu.Unlock()
 		out = append(out, info)
-	}
-	// Session ids embed a monotonic counter; sort by it for a stable view.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
 	}
 	return out
 }

@@ -85,6 +85,7 @@ type Server struct {
 // session is the server-side state of one tenant connection.
 type session struct {
 	id     string
+	seq    uint64 // the server's session counter at creation, in id too
 	tenant string
 	hello  Hello
 
@@ -339,7 +340,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	} else {
 		s.drainedClean.Add(1)
 	}
-	s.finish(sess, rep, sessErr)
+	sum := s.finish(sess, rep, sessErr)
 	s.cfg.Logf("pmserved: session %s: %d events, %d bug(s), %d failure(s)",
 		sess.id, n, rep.Len(), len(rep.Failures))
 
@@ -347,7 +348,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	if failed {
 		status = "failed"
 	}
-	sum := rep.Summary()
 	// The peer may already be gone (mid-slab disconnects); the report is
 	// still retained for /report pull, so write errors are non-events.
 	if _, err := fmt.Fprintf(conn, "REPORT %s %d\n", status, len(sum)); err == nil {
@@ -362,6 +362,7 @@ func (s *Server) register(hs Hello, eng engine) *session {
 	s.nextID++
 	sess := &session{
 		id:       fmt.Sprintf("%s-%d", hs.Tenant, s.nextID),
+		seq:      s.nextID,
 		tenant:   hs.Tenant,
 		hello:    hs,
 		shards:   eng.pipe.Shards(),
@@ -381,10 +382,12 @@ func (s *Server) register(hs Hello, eng engine) *session {
 	return sess
 }
 
-// finish finalizes the session record with its report (or failure).
-func (s *Server) finish(sess *session, rep *report.Report, err error) {
+// finish finalizes the session record with its report (or failure) and
+// returns the report's rendered summary.
+func (s *Server) finish(sess *session, rep *report.Report, err error) string {
+	sum := rep.Summary()
 	sess.mu.Lock()
-	sess.summary = rep.Summary()
+	sess.summary = sum
 	sess.bugs = rep.Len()
 	sess.failures = len(rep.Failures)
 	if err != nil {
@@ -403,6 +406,7 @@ func (s *Server) finish(sess *session, rep *report.Report, err error) {
 	ts.failures += len(rep.Failures)
 	s.mu.Unlock()
 	s.active.Add(-1)
+	return sum
 }
 
 // engine bundles a session's detector with its delivery pipeline.
