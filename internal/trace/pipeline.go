@@ -61,10 +61,10 @@ import (
 //     matched it at one (EXPERIMENTS.md).
 //   - Lazy: consumers park and slabs accumulate in the rings; analysis
 //     runs when Sync or Close demands it, or when a ring holds depth full
-//     slabs and needs another. This is the tracing-then-analysis decoupling of
-//     offline-trace debuggers (WITCHER's architecture). Only a pmserved
-//     session that asks for drain=lazy uses it. Delivery order and reports
-//     are identical in both disciplines.
+//     slabs and needs another. This is the tracing-then-analysis
+//     decoupling of offline-trace debuggers (WITCHER's architecture). Only
+//     a pmserved session that asks for drain=lazy uses it. Delivery order
+//     and reports are identical in both disciplines.
 type Pipeline struct {
 	h     Handler
 	rings []*ring
@@ -419,7 +419,7 @@ func (r *ring) handoff() {
 		r.cur = getSlab()
 		return
 	}
-	r.wake() // every slab is staged in full: the consumer must drain now
+	r.wake() // every slab is queued or draining: the consumer must drain now
 	r.cur = <-r.free
 }
 
@@ -437,9 +437,10 @@ func (r *ring) ship() {
 // release returns the ring's slabs to the pool. It runs once the consumer
 // has exited, when every slab the ring took is back in its free list.
 func (r *ring) release() {
-	for ; r.slabs > 0; r.slabs-- {
+	for len(r.free) > 0 {
 		putSlab(<-r.free)
 	}
+	r.slabs = 0
 }
 
 // wake nudges a parked lazy consumer; it is a no-op when a wake is already
