@@ -18,7 +18,7 @@ func (d *Detector) HandleBatch(evs []trace.Event) {
 		// User rules observe every event and the registration filter is
 		// per-address: nothing is loop-invariant, so keep the general path.
 		for i := range evs {
-			d.HandleEvent(evs[i])
+			d.handle(&evs[i])
 		}
 		return
 	}
@@ -27,9 +27,9 @@ func (d *Detector) HandleBatch(evs []trace.Event) {
 	foldStrands := d.cfg.Model != rules.Strand
 	var stores uint64
 	for i := 0; i < len(evs); {
-		ev := evs[i]
+		ev := &evs[i]
 		if ev.Kind != trace.KindStore {
-			d.HandleEvent(ev)
+			d.handle(ev)
 			i++
 			continue
 		}
@@ -38,7 +38,7 @@ func (d *Detector) HandleBatch(evs []trace.Event) {
 		j := i
 		for j < len(evs) && evs[j].Kind == trace.KindStore &&
 			(foldStrands || evs[j].Strand == ev.Strand) {
-			s.store(evs[j], epoch)
+			s.store(&evs[j], epoch)
 			j++
 		}
 		stores += uint64(j - i)

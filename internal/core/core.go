@@ -118,6 +118,13 @@ type Detector struct {
 	// re-allocating the array and tree each time would dominate.
 	spareSpaces []*space
 
+	// lastStrand and lastSpace cache spaceFor's most recent strand-model
+	// lookup, so a run of events on one strand skips the spaces map.
+	// lastStrand 0 means empty (strand 0 never reaches the cache); the
+	// entry is dropped when StrandEnd retires its space.
+	lastStrand int32
+	lastSpace  *space
+
 	// scanLimit is the array length past which queries build and use the
 	// cache-line index (index.go). New sets it to the package constant;
 	// tests lower it to drive the indexed path on short fence intervals.
@@ -155,24 +162,25 @@ func (d *Detector) spaceFor(strand int32) *space {
 	if d.cfg.Model != rules.Strand || strand == 0 {
 		return d.space0
 	}
+	if strand == d.lastStrand {
+		return d.lastSpace
+	}
 	s, ok := d.spaces[strand]
 	if !ok {
 		if n := len(d.spareSpaces); n > 0 {
 			s = d.spareSpaces[n-1]
 			d.spareSpaces = d.spareSpaces[:n-1]
 			s.strand = strand
-			s.arr = s.arr[:0]
-			s.meta = s.meta[:0]
-			s.meta = append(s.meta, clfMeta{minAddr: ^uint64(0)})
 			// A retired space is empty, so the fence that emptied its array
 			// already reset its index — reset anyway so a recycled space
 			// never inherits stale line lists.
-			s.resetIndex()
+			s.reset()
 		} else {
 			s = newSpace(d, strand)
 		}
 		d.spaces[strand] = s
 	}
+	d.lastStrand, d.lastSpace = strand, s
 	return s
 }
 
@@ -198,7 +206,11 @@ func (d *Detector) currentEpoch() int32 {
 }
 
 // HandleEvent consumes one instrumented instruction.
-func (d *Detector) HandleEvent(ev trace.Event) {
+func (d *Detector) HandleEvent(ev trace.Event) { d.handle(&ev) }
+
+// handle is HandleEvent by pointer: the detector reads each event in
+// place instead of copying it into every call down the hot path.
+func (d *Detector) handle(ev *trace.Event) {
 	switch ev.Kind {
 	case trace.KindStore:
 		d.rep.Counters.Stores++
@@ -268,6 +280,9 @@ func (d *Detector) HandleEvent(ev trace.Event) {
 			if len(d.spareSpaces) < 64 {
 				d.spareSpaces = append(d.spareSpaces, s)
 			}
+			if d.lastSpace == s {
+				d.lastStrand, d.lastSpace = 0, nil
+			}
 		}
 
 	case trace.KindJoinStrand:
@@ -296,12 +311,12 @@ func (d *Detector) HandleEvent(ev trace.Event) {
 	}
 
 	for _, r := range d.userRules {
-		r.OnEvent(ev, d)
+		r.OnEvent(*ev, d)
 	}
 }
 
 // finishEpoch runs the epoch rules at TX_END (§5.2).
-func (d *Detector) finishEpoch(ev trace.Event) {
+func (d *Detector) finishEpoch(ev *trace.Event) {
 	if !d.epochActive {
 		return
 	}
@@ -349,7 +364,7 @@ func (d *Detector) finishEpoch(ev trace.Event) {
 // outside any transaction is ignored: the rule is scoped to a single
 // transaction, and recording a stray add would pollute the next epoch's
 // shadow and misreport its first legitimate log write as redundant.
-func (d *Detector) txLogAdd(ev trace.Event) {
+func (d *Detector) txLogAdd(ev *trace.Event) {
 	if !d.cfg.Rules.Has(rules.RuleRedundantLogging) || !d.epochActive {
 		return
 	}

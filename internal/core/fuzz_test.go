@@ -8,6 +8,23 @@ import (
 	"pmdebugger/internal/trace"
 )
 
+// aliasStride puts fuzzed addresses whose arg differs mod 3 on pages 64
+// cache lines apart, so their lines share bits of a CLF interval's 64-line
+// signature without sharing an address.
+const aliasStride = 64 << lineShift
+
+// txCommitSeed has the shape of a transaction commit: undo-log and data
+// stores land in one CLF interval, are written back line by line, and
+// older intervals are flushed again once the MRU probe no longer covers
+// them. It decodes the same way under both fuzz targets below.
+var txCommitSeed = []byte{
+	0, 3, 0, 2, 4, 5, 0, 6, // data (page 0), log entry and header (page 2)
+	1, 3, 1, 2, 1, 14, // per-line writebacks of the log and the data
+	0, 9, 0, 1, 1, 9, 0, 12, 4, 8, 1, 12, // two more intervals
+	1, 3, 1, 2, 1, 8, 1, 1, // flush old intervals' lines again
+	3, 0, 0, 3, 0, 5, 1, 5, 3, 0,
+}
+
 // FuzzDetectorVsOracle drives the engine and the brute-force oracle with an
 // instruction stream decoded from fuzz input and requires identical
 // bug-type outcomes. Run with `go test -fuzz FuzzDetectorVsOracle` for
@@ -16,6 +33,7 @@ func FuzzDetectorVsOracle(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 20, 3, 0, 0, 10, 2, 30})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 0, 2, 0, 3, 0})
 	f.Add([]byte{4, 0, 0, 8, 1, 8, 2, 0, 5, 0})
+	f.Add(txCommitSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = 0x1000_0000
 		var evs []trace.Event
@@ -26,17 +44,18 @@ func FuzzDetectorVsOracle(f *testing.F) {
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], uint64(data[i+1])
+			addr := base + arg%3*aliasStride + arg
 			switch op % 5 {
 			case 0: // store
-				emit(trace.KindStore, base+arg, arg%24+1)
+				emit(trace.KindStore, addr, arg%24+1)
 			case 1: // arbitrary flush
-				emit(trace.KindFlush, base+arg, arg%64+1)
+				emit(trace.KindFlush, addr, arg%64+1)
 			case 2: // line flush
-				emit(trace.KindFlush, (base+arg)&^63, 64)
+				emit(trace.KindFlush, addr&^63, 64)
 			case 3: // fence
 				emit(trace.KindFence, 0, 0)
 			case 4: // store crossing lines
-				emit(trace.KindStore, base+arg, 64+arg%64)
+				emit(trace.KindStore, addr, 64+arg%64)
 			}
 		}
 		emit(trace.KindEnd, 0, 0)
@@ -86,6 +105,7 @@ func FuzzIndexedVsScan(f *testing.F) {
 	f.Add([]byte{0, 16, 5, 8, 1, 16, 3, 0, 0, 16, 6, 0, 1, 16})
 	f.Add([]byte{0, 0, 0, 64, 5, 32, 1, 0, 2, 0, 3, 0, 4, 192})
 	f.Add([]byte{4, 7, 0, 7, 6, 7, 1, 7, 5, 7, 0, 7, 3, 7})
+	f.Add(txCommitSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const base = 0x1000_0000
 		var evs []trace.Event
@@ -94,24 +114,25 @@ func FuzzIndexedVsScan(f *testing.F) {
 			seq++
 			evs = append(evs, trace.Event{Seq: seq, Kind: kind, Addr: addr, Size: size})
 		}
-		emit(trace.KindRegister, base, 4096)
+		emit(trace.KindRegister, base, 4*aliasStride)
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], uint64(data[i+1])
+			addr := base + arg%3*aliasStride + arg*8
 			switch op % 7 {
 			case 0: // store
-				emit(trace.KindStore, base+arg*8, arg%24+1)
+				emit(trace.KindStore, addr, arg%24+1)
 			case 1: // line flush
-				emit(trace.KindFlush, (base+arg*8)&^63, 64)
+				emit(trace.KindFlush, addr&^63, 64)
 			case 2: // arbitrary flush (splits entries)
 				emit(trace.KindFlush, base+arg, arg%96+1)
 			case 3: // fence
 				emit(trace.KindFence, 0, 0)
 			case 4: // store crossing lines
-				emit(trace.KindStore, base+arg*8, 64+arg%64)
+				emit(trace.KindStore, addr, 64+arg%64)
 			case 5: // purge a sub-region
-				emit(trace.KindUnregister, base+arg*8, arg%128+1)
+				emit(trace.KindUnregister, addr, arg%128+1)
 			case 6: // zero-size flush: empty-range overlap quirk
-				emit(trace.KindFlush, base+arg*8, 0)
+				emit(trace.KindFlush, addr, 0)
 			}
 		}
 		emit(trace.KindEnd, 0, 0)

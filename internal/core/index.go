@@ -13,7 +13,7 @@ package core
 // records an event needs are almost always (a) in the most recent CLF
 // intervals, or (b) findable from the 64-byte cache line the event touches.
 //
-// Two layers exploit that:
+// Three layers exploit that:
 //
 //  1. MRU interval probe: each space folds the address ranges of every CLF
 //     interval *older than the previous one* into a single summary range
@@ -26,6 +26,13 @@ package core
 //     in O(live lines) at the fence. Events that miss the MRU probe resolve
 //     their candidate entries — and, through entryIv, the candidate CLF
 //     intervals — from the lines they touch.
+//  3. Line signatures: each CLF interval ORs bit (line mod 64) of every
+//     line its stores touched into a 64-bit word (clfMeta.lines). An
+//     interval whose [min, max) overlaps a query but whose signature shares
+//     no bit with the query's lines is skipped before its entries are read.
+//     Transaction commits store to log and data lines far apart in one
+//     interval and write them back line by line, so most of those
+//     write-backs overlap older intervals' ranges but none of their lines.
 //
 // The index is built on demand. Most fence intervals are short (Pattern 1:
 // the ledger's Fig. 8 programs average 1.2 to 48 stores per fence), the MRU
@@ -37,18 +44,21 @@ package core
 // the last indexed entry and answers. A fence interval that never outgrows
 // the limit never touches the map.
 //
-// The index is a conservative superset: entries are indexed under the lines
-// of their range when they are caught up, and later operations (flush
+// The index and the signatures are conservative supersets: entries are
+// indexed under the lines of their range when they are caught up, and
+// signed with them when they are stored, and later operations (flush
 // splits, purges) only ever shrink an entry's range within the span it had
 // then, so a record can never overlap a query without sharing an indexed
-// line with it. Every consult therefore re-checks the scan path's exact
-// predicates (interval prefilter gate, per-entry overlap), which keeps the
-// indexed path behaviorally identical to the Config.DisableIndex scan
-// fallback — property- and fuzz-tested in index_test.go / fuzz_test.go, at
-// scan limits 0, 4 and the default.
+// line and a signature bit with it. Every consult therefore re-checks the
+// scan path's exact predicates (interval prefilter gate, per-entry
+// overlap), which keeps the indexed path behaviorally identical to the
+// Config.DisableIndex scan fallback, which never consults a signature —
+// property- and fuzz-tested in index_test.go / fuzz_test.go, at scan
+// limits 0, 4 and the default.
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"pmdebugger/internal/intervals"
 )
@@ -92,6 +102,33 @@ func lineSpan(r intervals.Range) (first, last uint64) {
 		last = (r.End() - 1) >> lineShift
 	}
 	return first, last
+}
+
+// allLines is the line signature of a range covering 64 lines or more, and
+// the query signature of the DisableIndex reference path: every non-empty
+// CLF interval's signature shares a bit with it, so nothing is skipped.
+const allLines = ^uint64(0)
+
+// lineSig returns the cache-line signature of r: bit (line mod 64) set for
+// every line of lineSpan(r), so a zero-size range sets its address's line.
+// Two ranges that overlap share a line, hence a bit, so signatures that
+// share no bit prove the ranges disjoint.
+func lineSig(r intervals.Range) uint64 {
+	first, last := lineSpan(r)
+	if last-first >= 63 {
+		return allLines
+	}
+	return bits.RotateLeft64(1<<(last-first+1)-1, int(first&63))
+}
+
+// querySig returns the line signature interval filters test a query range
+// against: r's own when the index is enabled, allLines on the reference
+// path, which filters by address range alone.
+func (s *space) querySig(r intervals.Range) uint64 {
+	if s.idx == nil {
+		return allLines
+	}
+	return lineSig(r)
 }
 
 // add indexes array entry id under every line touched by r.
@@ -199,8 +236,8 @@ func (s *space) candidates(r intervals.Range) []int32 {
 			break
 		}
 	}
-	sortInt32(out)
-	out = dedupInt32(out)
+	slices.Sort(out)
+	out = slices.Compact(out)
 	s.candScratch = out
 	return out
 }
@@ -229,26 +266,4 @@ func (s *space) resetIndex() {
 		s.entryIv = s.entryIv[:0]
 	}
 	s.oldBounds = intervals.Range{}
-}
-
-func sortInt32(a []int32) {
-	if len(a) <= 16 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-}
-
-func dedupInt32(a []int32) []int32 {
-	out := a[:0]
-	for i, v := range a {
-		if i == 0 || v != a[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

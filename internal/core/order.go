@@ -76,7 +76,7 @@ func (ot *orderTracker) lookup(name string) *watched {
 }
 
 // noteRegister resolves named ranges and scope toggles from Register events.
-func (ot *orderTracker) noteRegister(ev trace.Event) {
+func (ot *orderTracker) noteRegister(ev *trace.Event) {
 	if ev.Site == 0 {
 		return
 	}
@@ -106,7 +106,7 @@ func (ot *orderTracker) scopeActive(sp rules.OrderSpec) bool {
 }
 
 // noteStore records which strand last wrote each watched variable.
-func (ot *orderTracker) noteStore(ev trace.Event) {
+func (ot *orderTracker) noteStore(ev *trace.Event) {
 	r := intervals.R(ev.Addr, ev.Size)
 	for i := range ot.watch {
 		w := &ot.watch[i]
@@ -139,7 +139,7 @@ func (ot *orderTracker) noteCommit(r intervals.Range) {
 }
 
 // fenceDone runs the no-order rule after a fence's commits are recorded.
-func (ot *orderTracker) fenceDone(ev trace.Event) {
+func (ot *orderTracker) fenceDone(ev *trace.Event) {
 	ot.fenceNo++
 	if !ot.d.cfg.Rules.Has(rules.RuleNoOrder) {
 		return
@@ -176,7 +176,7 @@ func (ot *orderTracker) fenceDone(ev trace.Event) {
 // noteFlush runs the strand-ordering rule (§5.2): a CLF persisting Y from
 // strand s while X is uncommitted and last written by a different, still
 // running strand violates the cross-strand order requirement.
-func (ot *orderTracker) noteFlush(ev trace.Event) {
+func (ot *orderTracker) noteFlush(ev *trace.Event) {
 	if !ot.d.cfg.Rules.Has(rules.RuleLackOrderingInStrands) {
 		return
 	}
@@ -197,7 +197,7 @@ func (ot *orderTracker) noteFlush(ev trace.Event) {
 			continue
 		}
 		if before.lastStrand != ev.Strand && ot.strandLive[before.lastStrand] {
-			lastStrand := before.lastStrand
+			strand, lastStrand := ev.Strand, before.lastStrand
 			ot.d.rep.AddLazy(report.Bug{
 				Type: report.LackOrderingInStrands,
 				Addr: after.rng.Addr, Size: after.rng.Size,
@@ -206,7 +206,7 @@ func (ot *orderTracker) noteFlush(ev trace.Event) {
 			}, func() string {
 				return fmt.Sprintf(
 					"strand %d persists %q while %q written by running strand %d is not durable",
-					ev.Strand, sp.After, sp.Before, lastStrand)
+					strand, sp.After, sp.Before, lastStrand)
 			})
 		}
 	}

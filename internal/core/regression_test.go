@@ -154,3 +154,71 @@ func TestSpareSpaceRecyclingLeaksNothing(t *testing.T) {
 		t.Fatalf("reported bug at %#x, want %#x", rep.Bugs[0].Addr, newAddr)
 	}
 }
+
+// TestStrandSpaceCacheDroppedAtRetirement: spaceFor caches the last strand
+// it resolved, and StrandEnd can retire that strand's space to the spares
+// for another strand to take. A store from the retired strand must then
+// get a space of its own, in either order of the next strand's start and
+// that store, and the report must equal the reference scan's and the
+// oracle's. A stale cache entry files the store in the retired space,
+// where strand 7 then resets it away.
+func TestStrandSpaceCacheDroppedAtRetirement(t *testing.T) {
+	const a, b = 0x4000, 0x8000
+	type step struct {
+		kind   trace.Kind
+		strand int32
+		addr   uint64
+	}
+	orders := map[string][]step{
+		"store before the next strand": {
+			{trace.KindStrandBegin, 5, 0}, {trace.KindStrandEnd, 5, 0},
+			{trace.KindStore, 5, a},
+			{trace.KindStrandBegin, 7, 0}, {trace.KindStore, 7, b},
+		},
+		"next strand takes the space first": {
+			{trace.KindStrandBegin, 5, 0}, {trace.KindStrandEnd, 5, 0},
+			{trace.KindStrandBegin, 7, 0},
+			{trace.KindStore, 5, a}, {trace.KindStore, 7, b},
+		},
+	}
+	for name, steps := range orders {
+		t.Run(name, func(t *testing.T) {
+			steps = append(steps,
+				step{trace.KindFlush, 7, b}, step{trace.KindFence, 7, 0},
+				step{trace.KindStrandEnd, 7, 0}, step{trace.KindEnd, 0, 0})
+			var evs []trace.Event
+			for i, st := range steps {
+				ev := trace.Event{Seq: uint64(i + 1), Kind: st.kind, Strand: st.strand, Addr: st.addr}
+				switch st.kind {
+				case trace.KindStore:
+					ev.Size = 8
+				case trace.KindFlush:
+					ev.Size = 64
+				}
+				evs = append(evs, ev)
+			}
+			cfg := Config{
+				Model: rules.Strand,
+				Rules: rules.RuleNoDurability | rules.RuleMultipleOverwrites |
+					rules.RuleRedundantFlush | rules.RuleFlushNothing,
+			}
+			idx, scan := replayPair(t, cfg, scanLimit, evs)
+			requireIdentical(t, idx, scan, name)
+			o := newOracle()
+			for _, ev := range evs {
+				o.HandleEvent(ev)
+			}
+			for _, typ := range []report.BugType{
+				report.NoDurability, report.MultipleOverwrites,
+				report.RedundantFlush, report.FlushNothing,
+			} {
+				if idx.Has(typ) != o.bugs[typ] {
+					t.Fatalf("%s: engine=%v oracle=%v\nreport:\n%s", typ, idx.Has(typ), o.bugs[typ], idx.Summary())
+				}
+			}
+			if len(idx.Bugs) != 1 || idx.Bugs[0].Addr != a || idx.Bugs[0].Strand != 5 {
+				t.Fatalf("want one no-durability bug for strand 5's store at %#x, got:\n%s", a, idx.Summary())
+			}
+		})
+	}
+}

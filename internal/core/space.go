@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"pmdebugger/internal/avl"
 	"pmdebugger/internal/intervals"
 	"pmdebugger/internal/report"
@@ -24,15 +26,26 @@ const (
 // an appended slice is the idiomatic Go equivalent with identical
 // per-interval semantics (nodes are only ever appended and then dropped
 // wholesale at the fence).
+//
+// lines is the interval's cache-line signature: the OR of lineSig over
+// every entry's range as stored. Entries only shrink after they are
+// recorded (flush splits, purges), so it stays a superset of the lines its
+// live entries touch, and an interval whose signature shares no bit with a
+// query's cannot hold an entry overlapping it.
 type clfMeta struct {
 	start, end int // [start, end) indexes into the memory location array
 	minAddr    uint64
 	maxAddr    uint64 // exclusive
+	lines      uint64
 	state      flushState
 	flushed    int // entries individually marked flushed (partial tracking)
 }
 
 func (m *clfMeta) empty() bool { return m.start == m.end }
+
+// linesMiss reports whether no entry of m can overlap a query with line
+// signature qs. It never holds for a non-empty interval and allLines.
+func (m *clfMeta) linesMiss(qs uint64) bool { return m.lines&qs == 0 }
 
 func (m *clfMeta) count() int { return m.end - m.start }
 
@@ -80,8 +93,30 @@ func newSpace(d *Detector, strand int32) *space {
 	if !d.cfg.DisableIndex {
 		s.idx = newLineIndex()
 	}
-	s.meta = append(s.meta, clfMeta{minAddr: ^uint64(0)})
+	s.openInterval()
 	return s
+}
+
+// openInterval appends a fresh CLF interval starting at the array's end.
+// The node is filled in place rather than built and copied in.
+func (s *space) openInterval() {
+	var m *clfMeta
+	s.meta, m = grow(s.meta)
+	m.start, m.end = len(s.arr), len(s.arr)
+	m.minAddr, m.maxAddr, m.lines = ^uint64(0), 0, 0
+	m.state, m.flushed = notFlushed, 0
+}
+
+// grow extends a by one element and returns a pointer to it. The element
+// keeps whatever a reused backing array held there, so the caller sets
+// every field.
+func grow[T any](a []T) ([]T, *T) {
+	n := len(a)
+	if n == cap(a) {
+		a = slices.Grow(a, 1)
+	}
+	a = a[:n+1]
+	return a, &a[n]
 }
 
 // empty reports whether the space tracks nothing.
@@ -99,11 +134,11 @@ func (s *space) trackedOverlap(r intervals.Range) (avl.Item, bool) {
 	switch {
 	case s.mruOnly(r):
 		s.d.rep.Counters.MRUProbeHits++
-		hit, found = s.overlapScanFrom(r, s.mruFirst())
+		hit, found = s.overlapScanFrom(r, s.querySig(r), s.mruFirst())
 	case s.indexed():
 		hit, found = s.overlapIndexed(r)
 	default:
-		hit, found = s.overlapScanFrom(r, 0)
+		hit, found = s.overlapScanFrom(r, s.querySig(r), 0)
 	}
 	if found {
 		return hit, true
@@ -117,13 +152,14 @@ func (s *space) trackedOverlap(r intervals.Range) (avl.Item, bool) {
 }
 
 // overlapScanFrom is the reference array lookup: scan CLF intervals starting
-// at meta index from, prefiltering each by its collective address range so
-// most intervals are skipped without touching entries (Pattern 2), and
-// return the first overlapping entry in array order.
-func (s *space) overlapScanFrom(r intervals.Range, from int) (avl.Item, bool) {
+// at meta index from, prefiltering each by its collective address range
+// and its line signature against qs so most intervals are skipped without
+// touching entries (Pattern 2), and return the first overlapping entry in
+// array order.
+func (s *space) overlapScanFrom(r intervals.Range, qs uint64, from int) (avl.Item, bool) {
 	for mi := from; mi < len(s.meta); mi++ {
 		m := &s.meta[mi]
-		if m.empty() || !r.Overlaps(m.rng()) {
+		if m.empty() || !r.Overlaps(m.rng()) || m.linesMiss(qs) {
 			continue
 		}
 		for i := m.start; i < m.end; i++ {
@@ -156,7 +192,7 @@ func (s *space) overlapIndexed(r intervals.Range) (avl.Item, bool) {
 // (or spill to the tree when the array is full) and update the current CLF
 // interval metadata. The multiple-overwrites rule runs first so it sees the
 // pre-store bookkeeping state.
-func (s *space) store(ev trace.Event, epochID int32) {
+func (s *space) store(ev *trace.Event, epochID int32) {
 	r := intervals.R(ev.Addr, ev.Size)
 	if s.d.cfg.Rules.Has(rules.RuleMultipleOverwrites) {
 		if prev, ok := s.trackedOverlap(r); ok {
@@ -172,13 +208,13 @@ func (s *space) store(ev trace.Event, epochID int32) {
 		}
 	}
 
-	it := avl.Item{
-		Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq,
-		Site: ev.Site, Strand: ev.Strand,
-		Epoch: epochID >= 0, Epochs: epochID,
-	}
 	if len(s.arr) < s.d.cfg.ArrayCapacity {
-		s.arr = append(s.arr, it)
+		var e *avl.Item
+		s.arr, e = grow(s.arr)
+		e.Addr, e.Size, e.Seq = ev.Addr, ev.Size, ev.Seq
+		e.Site, e.Strand = ev.Site, ev.Strand
+		e.Flushed, e.Reported = false, false
+		e.Epoch, e.Epochs = epochID >= 0, epochID
 		m := s.cur()
 		m.end = len(s.arr)
 		if ev.Addr < m.minAddr {
@@ -187,10 +223,15 @@ func (s *space) store(ev trace.Event, epochID int32) {
 		if ev.End() > m.maxAddr {
 			m.maxAddr = ev.End()
 		}
+		m.lines |= lineSig(r)
 		s.d.rep.Counters.ArrayAppends++
 	} else {
 		// Rare overflow (§4.1): new locations go straight to the AVL tree.
-		s.tree.Insert(it)
+		s.tree.Insert(avl.Item{
+			Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq,
+			Site: ev.Site, Strand: ev.Strand,
+			Epoch: epochID >= 0, Epochs: epochID,
+		})
 		s.d.rep.Counters.ArraySpills++
 	}
 	if s.d.order != nil {
@@ -207,48 +248,53 @@ func (s *space) store(ev trace.Event, epochID int32) {
 //
 // With the index enabled, the traversal visits only the MRU intervals (when
 // the probe proves older ones unreachable) or, past the scan limit, the
-// intervals owning the flush's cache-line candidates; both restrictions
-// visit every interval the reference scan would touch.
+// intervals owning the flush's cache-line candidates, and it leaves out of
+// the per-entry passes every interval whose line signature misses the
+// flush's; each restriction visits every entry the reference scan would
+// touch.
 //
 // It returns whether the flush hit any not-yet-flushed record and whether it
 // hit any already-flushed record, which drive the redundant-flush and
 // flush-nothing rules.
-func (s *space) flush(ev trace.Event) (anyNew, anyOld bool) {
+func (s *space) flush(ev *trace.Event) (anyNew, anyOld bool) {
 	fr := intervals.R(ev.Addr, ev.Size)
+	qs := s.querySig(fr)
 	switch {
 	case s.mruOnly(fr):
 		s.d.rep.Counters.MRUProbeHits++
 		for mi := s.mruFirst(); mi < len(s.meta); mi++ {
-			n, o := s.flushOne(&s.meta[mi], fr, nil)
+			n, o := s.flushOne(&s.meta[mi], fr, qs, nil)
 			anyNew = anyNew || n
 			anyOld = anyOld || o
 		}
 	case s.indexed():
 		s.forEachCandidateInterval(s.candidates(fr), func(iv int32, ids []int32) {
-			n, o := s.flushOne(&s.meta[iv], fr, ids)
+			n, o := s.flushOne(&s.meta[iv], fr, qs, ids)
 			anyNew = anyNew || n
 			anyOld = anyOld || o
 		})
 	default:
 		for mi := range s.meta {
-			n, o := s.flushOne(&s.meta[mi], fr, nil)
+			n, o := s.flushOne(&s.meta[mi], fr, qs, nil)
 			anyNew = anyNew || n
 			anyOld = anyOld || o
 		}
 	}
 
 	// Then the AVL tree (§4.3): the array absorbs most updates, so this
-	// traversal is usually a cheap no-op.
-	newly, already := s.tree.MarkFlushed(fr)
-	anyNew = anyNew || newly > 0
-	anyOld = anyOld || already > 0
+	// traversal is usually a no-op, and skipped outright on an empty tree.
+	if s.tree.Len() > 0 {
+		newly, already := s.tree.MarkFlushed(fr)
+		anyNew = anyNew || newly > 0
+		anyOld = anyOld || already > 0
+	}
 
 	// Start a new CLF interval. The interval that stops being the previous
 	// one can no longer grow, so its range is folded into the MRU probe's
 	// old-interval summary first.
 	if !s.cur().empty() {
 		s.foldOldBounds()
-		s.meta = append(s.meta, clfMeta{start: len(s.arr), end: len(s.arr), minAddr: ^uint64(0)})
+		s.openInterval()
 	}
 	return anyNew, anyOld
 }
@@ -258,7 +304,9 @@ func (s *space) flush(ev trace.Event) (anyNew, anyOld bool) {
 // is exact because every entry overlapping fr is among its cache-line
 // candidates. The collective branches never iterate per candidate: a whole
 // interval covered by fr transitions by metadata update alone (Pattern 2).
-func (s *space) flushOne(m *clfMeta, fr intervals.Range, ids []int32) (anyNew, anyOld bool) {
+// An interval whose line signature shares no bit with qs, fr's signature,
+// holds no entry overlapping fr, so it returns before the per-entry passes.
+func (s *space) flushOne(m *clfMeta, fr intervals.Range, qs uint64, ids []int32) (anyNew, anyOld bool) {
 	if m.empty() {
 		return false, false
 	}
@@ -289,6 +337,9 @@ func (s *space) flushOne(m *clfMeta, fr intervals.Range, ids []int32) (anyNew, a
 			m.flushed = m.count()
 		}
 		return anyNew, anyOld
+	}
+	if m.linesMiss(qs) {
+		return false, false
 	}
 	// Partial overlap: examine entries individually.
 	if m.state == allFlushed {
@@ -367,7 +418,7 @@ func (s *space) flushEntry(m *clfMeta, fr intervals.Range, i int) (anyNew, anyOl
 // metadata — remaining unflushed array entries are re-distributed to the
 // tree, the tree is merged past the threshold, and the array is reset for
 // the next fence interval by invalidating the metadata.
-func (s *space) fence(ev trace.Event) {
+func (s *space) fence(ev *trace.Event) {
 	ot := s.d.order
 
 	// 0. Sample the tree size as seen during the closing fence interval
@@ -393,14 +444,20 @@ func (s *space) fence(ev trace.Event) {
 	}
 
 	// 4. Reset the array and metadata for the next fence interval.
-	s.arr = s.arr[:0]
-	s.meta = s.meta[:0]
-	s.meta = append(s.meta, clfMeta{minAddr: ^uint64(0)})
-	s.resetIndex()
+	s.reset()
 
 	if ot != nil {
 		ot.fenceDone(ev)
 	}
+}
+
+// reset empties the array, its interval metadata and the index for the
+// next fence interval.
+func (s *space) reset() {
+	s.arr = s.arr[:0]
+	s.meta = s.meta[:0]
+	s.openInterval()
+	s.resetIndex()
 }
 
 // fenceTree removes durable records from the AVL tree.
@@ -494,13 +551,14 @@ func (s *space) visitEpoch(id int32, fn func(it avl.Item)) {
 // array entries shrink to their non-overlapping remainders (a zero-size
 // entry is inert everywhere), tree records are removed or truncated.
 func (s *space) purge(r intervals.Range) {
+	qs := s.querySig(r)
 	if s.indexed() {
 		s.forEachCandidateInterval(s.candidates(r), func(iv int32, ids []int32) {
-			s.purgeOne(&s.meta[iv], r, ids)
+			s.purgeOne(&s.meta[iv], r, qs, ids)
 		})
 	} else {
 		for mi := range s.meta {
-			s.purgeOne(&s.meta[mi], r, nil)
+			s.purgeOne(&s.meta[mi], r, qs, nil)
 		}
 	}
 	for _, old := range s.tree.CollectOverlapping(r) {
@@ -517,9 +575,10 @@ func (s *space) purge(r intervals.Range) {
 // pass to the purge range's cache-line candidates (exact: a purged entry
 // always shares a line with r). Intervals whose entries actually shrank get
 // their collective bounds recomputed so the range prefilter stops visiting
-// intervals whose live entries no longer overlap anything.
-func (s *space) purgeOne(m *clfMeta, r intervals.Range, ids []int32) {
-	if m.empty() || !r.Overlaps(m.rng()) {
+// intervals whose live entries no longer overlap anything. The line
+// signature is left as it is: shrinking entries keeps it a superset.
+func (s *space) purgeOne(m *clfMeta, r intervals.Range, qs uint64, ids []int32) {
+	if m.empty() || !r.Overlaps(m.rng()) || m.linesMiss(qs) {
 		return
 	}
 	changed := false
@@ -582,13 +641,14 @@ func (s *space) tightenBounds(m *clfMeta) {
 // markReported flags tracked records overlapping r as already reported so a
 // later rule (end-of-program no-durability) does not double-report them.
 func (s *space) markReported(r intervals.Range) {
+	qs := s.querySig(r)
 	if s.indexed() {
 		s.forEachCandidateInterval(s.candidates(r), func(iv int32, ids []int32) {
-			s.markReportedOne(&s.meta[iv], r, ids)
+			s.markReportedOne(&s.meta[iv], r, qs, ids)
 		})
 	} else {
 		for mi := range s.meta {
-			s.markReportedOne(&s.meta[mi], r, nil)
+			s.markReportedOne(&s.meta[mi], r, qs, nil)
 		}
 	}
 	// The AVL tree stores items by value; rewrite overlapping ones.
@@ -601,8 +661,8 @@ func (s *space) markReported(r intervals.Range) {
 }
 
 // markReportedOne flags one CLF interval's entries overlapping r.
-func (s *space) markReportedOne(m *clfMeta, r intervals.Range, ids []int32) {
-	if m.empty() || !r.Overlaps(m.rng()) {
+func (s *space) markReportedOne(m *clfMeta, r intervals.Range, qs uint64, ids []int32) {
+	if m.empty() || !r.Overlaps(m.rng()) || m.linesMiss(qs) {
 		return
 	}
 	if ids != nil {
