@@ -76,7 +76,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // MetricsSnapshot assembles the current Metrics document (also used by the
-// HTTP handler, so in-process consumers need no HTTP round trip).
+// HTTP handler, so in-process consumers need no HTTP round trip). It costs
+// O(tenants + active sessions) under the server lock, however many
+// sessions the server has finished.
 func (s *Server) MetricsSnapshot() Metrics {
 	uptime := time.Since(s.start).Seconds()
 	if uptime <= 0 {
@@ -98,23 +100,22 @@ func (s *Server) MetricsSnapshot() Metrics {
 	m.BytesPerSec = float64(m.BytesTotal) / uptime
 	s.mu.Lock()
 	for name, ts := range s.tenants {
-		tm := TenantMetrics{
+		m.Tenants[name] = TenantMetrics{
 			Sessions: ts.sessions,
 			Active:   ts.active,
 			Events:   ts.events,
 			Bugs:     ts.bugs,
 			Failures: ts.failures,
 		}
-		// Fold the live event counters of still-active sessions in, so the
-		// tenant view moves while a stream is in flight.
-		for _, sess := range s.sessions {
-			if sess.tenant == name {
-				if st, _, _ := sess.snapshotState(); st == "active" {
-					tm.Events += sess.events.Load()
-				}
-			}
-		}
-		m.Tenants[name] = tm
+	}
+	// Fold the live event counters of unfinished sessions in, so the tenant
+	// view moves while a stream is in flight. finish moves a session's
+	// count into its tenant's total in the same critical section that
+	// takes it out of s.live, so no count is missed or counted twice.
+	for sess := range s.live {
+		tm := m.Tenants[sess.tenant]
+		tm.Events += sess.events.Load()
+		m.Tenants[sess.tenant] = tm
 	}
 	s.mu.Unlock()
 	return m

@@ -64,6 +64,7 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	tenants  map[string]*tenantStats
+	live     map[*session]struct{} // registered, not yet finished
 	conns    map[net.Conn]struct{}
 	nextID   uint64
 	closing  bool
@@ -124,6 +125,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		sessions: map[string]*session{},
 		tenants:  map[string]*tenantStats{},
+		live:     map[*session]struct{}{},
 		conns:    map[net.Conn]struct{}{},
 	}
 }
@@ -319,7 +321,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			sess.id, hs.Shards, eng.fallback)
 	}
 	if _, err := fmt.Fprintf(conn, "OK session=%s\n", sess.id); err != nil {
-		s.finish(sess, report.New("pmdebugger"), fmt.Errorf("handshake reply: %w", err))
+		// Close the pipeline, or its consumer goroutines stay parked on
+		// their rings for good.
+		rep, _ := eng.finalize(nil)
+		s.finish(sess, rep, fmt.Errorf("handshake reply: %w", err))
 		return
 	}
 
@@ -370,6 +375,7 @@ func (s *Server) register(hs Hello, eng engine) *session {
 		state:    "active",
 	}
 	s.sessions[sess.id] = sess
+	s.live[sess] = struct{}{}
 	ts := s.tenants[hs.Tenant]
 	if ts == nil {
 		ts = &tenantStats{}
@@ -399,6 +405,7 @@ func (s *Server) finish(sess *session, rep *report.Report, err error) string {
 	sess.mu.Unlock()
 
 	s.mu.Lock()
+	delete(s.live, sess)
 	ts := s.tenants[sess.tenant]
 	ts.active--
 	ts.events += sess.events.Load()
