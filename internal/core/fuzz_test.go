@@ -16,7 +16,9 @@ const aliasStride = 64 << lineShift
 // txCommitSeed has the shape of a transaction commit: undo-log and data
 // stores land in one CLF interval, are written back line by line, and
 // older intervals are flushed again once the MRU probe no longer covers
-// them. It decodes the same way under both fuzz targets below.
+// them. Both fuzz targets below take it; they scale addresses differently
+// and read op 1 as a line flush (FuzzIndexedVsScan) or a flush of up to
+// 64 bytes (FuzzDetectorVsOracle), so it keeps that shape in each.
 var txCommitSeed = []byte{
 	0, 3, 0, 2, 4, 5, 0, 6, // data (page 0), log entry and header (page 2)
 	1, 3, 1, 2, 1, 14, // per-line writebacks of the log and the data
