@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"pmdebugger/internal/baselines"
 	"pmdebugger/internal/core"
@@ -49,6 +50,7 @@ import (
 	"pmdebugger/internal/redis"
 	"pmdebugger/internal/rules"
 	"pmdebugger/internal/serve"
+	"pmdebugger/internal/trace"
 	"pmdebugger/internal/workloads"
 )
 
@@ -180,102 +182,100 @@ func run(o runOpts) error {
 		poolSize = 256 << 20
 	}
 
-	attach := func(pm *pmem.Pool, det baselines.Detector) {
-		switch {
-		case sess != nil:
-			pm.Attach(sess)
-		case o.shards > 1:
-			pm.AttachWith(det, pmem.AttachOptions{Async: true, Shards: o.shards})
-		case o.async:
-			pm.AttachAsync(det)
-		default:
-			pm.Attach(det)
-		}
-	}
-
 	var (
-		det    baselines.Detector
-		pmPool *pmem.Pool
-		err    error
+		model rules.Model
+		pm    *pmem.Pool
+		work  func() error
 	)
 	switch o.workload {
 	case "memcached":
-		cache, cerr := memcached.New(memcached.Config{
+		cache, err := memcached.New(memcached.Config{
 			PoolSize: poolSize, HashBuckets: 1 << 16, UseCAS: true, Bugs: o.buggy,
 			Strands: o.strands,
 		})
-		if cerr != nil {
-			return cerr
-		}
-		if det, err = build(cache.Model()); err != nil {
+		if err != nil {
 			return err
 		}
-		attach(cache.PM(), det)
-		if o.buggy {
-			if err := memslap.ExerciseAll(cache); err != nil {
-				return err
+		model, pm = cache.Model(), cache.PM()
+		work = func() error {
+			if o.buggy {
+				if err := memslap.ExerciseAll(cache); err != nil {
+					return err
+				}
 			}
+			return memslap.Run(cache, memslap.Config{Ops: o.n, Threads: o.threads, Seed: 42})
 		}
-		if err := memslap.Run(cache, memslap.Config{Ops: o.n, Threads: o.threads, Seed: 42}); err != nil {
-			return err
-		}
-		cache.PM().End()
-		pmPool = cache.PM()
 
 	case "redis":
-		srv, serr := redis.New(redis.Config{PoolSize: poolSize, MaxKeys: o.n / 2, Seed: 42})
-		if serr != nil {
-			return serr
-		}
-		if det, err = build(srv.Model()); err != nil {
+		srv, err := redis.New(redis.Config{PoolSize: poolSize, MaxKeys: o.n / 2, Seed: 42})
+		if err != nil {
 			return err
 		}
-		attach(srv.PM(), det)
-		if err := srv.RunLRUTest(o.n, 42); err != nil {
-			return err
-		}
-		srv.PM().End()
-		pmPool = srv.PM()
+		model, pm = srv.Model(), srv.PM()
+		work = func() error { return srv.RunLRUTest(o.n, 42) }
 
 	default:
-		f, ferr := workloads.Lookup(o.workload)
-		if ferr != nil {
-			return ferr
-		}
-		if det, err = build(f.Model); err != nil {
+		f, err := workloads.Lookup(o.workload)
+		if err != nil {
 			return err
 		}
-		app, pm, berr := workloads.Build(f, o.n)
-		if berr != nil {
-			return berr
-		}
-		attach(pm, det)
-		if err := workloads.RunInserts(app, o.n, 42); err != nil {
+		app, p, err := workloads.Build(f, o.n)
+		if err != nil {
 			return err
 		}
-		if err := app.Close(); err != nil {
-			return err
+		model, pm = f.Model, p
+		work = func() error {
+			if err := workloads.RunInserts(app, o.n, 42); err != nil {
+				return err
+			}
+			return app.Close()
 		}
-		pm.End()
-		pmPool = pm
 	}
 
-	if sess != nil {
-		sum, rerr := sess.Report()
-		fmt.Print(sum)
-		fmt.Printf("delivery: served by %s (session %s)\n", o.serveAddr, sess.ID())
-		if rerr != nil {
-			return rerr
-		}
-		if pmPool != nil {
-			st := pmPool.Stats()
-			fmt.Printf("pool: %d stores (%d bytes), %d writebacks, %d fences, %d lines committed\n",
-				st.Stores, st.BytesStored, st.Flushes, st.Fences, st.LinesCommitted)
-		}
-		return nil
+	det, err := build(model)
+	if err != nil {
+		return err
 	}
+	if sess == nil {
+		return detect(o, pm, det, work)
+	}
+	pm.Attach(sess)
+	if err := work(); err != nil {
+		return err
+	}
+	pm.End()
+	sum, err := sess.Report()
+	fmt.Print(sum)
+	fmt.Printf("delivery: served by %s (session %s)\n", o.serveAddr, sess.ID())
+	if err != nil {
+		return err
+	}
+	printPoolStats(pm)
+	return nil
+}
 
-	fmt.Print(det.Report().Summary())
+// detect attaches det to pm as o selects (inline, through the pipeline, or
+// sharded), runs work, ends the pool and prints the report. It fails when
+// detection did: a detector that panicked on a pipeline consumer goroutine
+// (the pipeline dropped every later event) or a report carrying failures
+// (a sharded detector's panicked shard).
+func detect(o runOpts, pm *pmem.Pool, det baselines.Detector, work func() error) error {
+	var pipe *trace.Pipeline
+	switch {
+	case o.shards > 1:
+		pipe = pm.AttachWith(det, pmem.AttachOptions{Async: true, Shards: o.shards})
+	case o.async:
+		pipe = pm.AttachAsync(det)
+	default:
+		pm.Attach(det)
+	}
+	if err := work(); err != nil {
+		return err
+	}
+	pm.End()
+
+	rep := det.Report()
+	fmt.Print(rep.Summary())
 	if sd, ok := det.(*core.ShardedDetector); ok {
 		if sd.Fallback() {
 			fmt.Printf("delivery: sharded attach FELL BACK to a single consumer (%s)\n",
@@ -284,10 +284,20 @@ func run(o runOpts) error {
 			fmt.Printf("delivery: sharded across %d detector shards\n", sd.Shards())
 		}
 	}
-	if pmPool != nil {
-		st := pmPool.Stats()
-		fmt.Printf("pool: %d stores (%d bytes), %d writebacks, %d fences, %d lines committed\n",
-			st.Stores, st.BytesStored, st.Flushes, st.Fences, st.LinesCommitted)
+	printPoolStats(pm)
+	if pipe != nil {
+		if err := pipe.Err(); err != nil {
+			return err
+		}
+	}
+	if len(rep.Failures) > 0 {
+		return fmt.Errorf("detection failed: %s", strings.Join(rep.Failures, "; "))
 	}
 	return nil
+}
+
+func printPoolStats(pm *pmem.Pool) {
+	st := pm.Stats()
+	fmt.Printf("pool: %d stores (%d bytes), %d writebacks, %d fences, %d lines committed\n",
+		st.Stores, st.BytesStored, st.Flushes, st.Fences, st.LinesCommitted)
 }

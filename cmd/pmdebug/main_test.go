@@ -2,10 +2,15 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
+	"pmdebugger/internal/baselines"
+	"pmdebugger/internal/pmem"
+	"pmdebugger/internal/report"
 	"pmdebugger/internal/serve"
+	"pmdebugger/internal/trace"
 )
 
 func TestRunWorkloads(t *testing.T) {
@@ -124,5 +129,57 @@ func TestRunServeErrors(t *testing.T) {
 	if err := run(runOpts{workload: "b_tree", n: 10, detector: "pmdebugger", threads: 1,
 		serveAddr: "127.0.0.1:1", tenant: "x"}); err == nil {
 		t.Error("unreachable server accepted")
+	}
+}
+
+// panicOnStore is a detector with a bug: it panics on the first store it
+// is handed, on whichever goroutine delivers it.
+type panicOnStore struct{ rep *report.Report }
+
+func (d *panicOnStore) Name() string           { return "panicky" }
+func (d *panicOnStore) Report() *report.Report { return d.rep }
+func (d *panicOnStore) HandleEvent(ev trace.Event) {
+	if ev.Kind == trace.KindStore {
+		panic("detector bug")
+	}
+}
+
+// failedShard is a detector whose report carries an infrastructure
+// failure, as a sharded detector's report does after a shard panicked.
+type failedShard struct{ *baselines.Nulgrind }
+
+func (d failedShard) Report() *report.Report {
+	rep := report.New("failed-shard")
+	rep.AddFailure("detector shard 1/2 panicked")
+	return rep
+}
+
+// TestDetectFailsWhenDetectionFails requires the attach-run-report tail
+// to return an error, not a truncated report, when the detector panicked
+// on a pipeline consumer goroutine or its report carries failures.
+func TestDetectFailsWhenDetectionFails(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		o    runOpts
+		det  baselines.Detector
+		want string
+	}{
+		{"async", runOpts{async: true}, &panicOnStore{rep: report.New("panicky")}, "panicked"},
+		{"shards", runOpts{shards: 2}, &panicOnStore{rep: report.New("panicky")}, "panicked"},
+		{"report failure", runOpts{}, failedShard{baselines.NewNulgrind()}, "shard 1/2"},
+	} {
+		pm := pmem.New(1 << 20)
+		work := func() error {
+			ctx := pm.Ctx()
+			for i := uint64(0); i < 8; i++ {
+				ctx.Store64(pm.Base()+i*64, i)
+				ctx.Persist(pm.Base()+i*64, 8)
+			}
+			return nil
+		}
+		err := detect(tc.o, pm, tc.det, work)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: detect = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -174,16 +174,9 @@ func doInfo(path string) error {
 }
 
 func doReplay(path, detector, modelName string, parallel bool, workers int) error {
-	var model rules.Model
-	switch modelName {
-	case "strict":
-		model = rules.Strict
-	case "epoch":
-		model = rules.Epoch
-	case "strand":
-		model = rules.Strand
-	default:
-		return fmt.Errorf("unknown model %q", modelName)
+	model, err := rules.ParseModel(modelName)
+	if err != nil {
+		return err
 	}
 	if parallel {
 		if detector != "pmdebugger" {

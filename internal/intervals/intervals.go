@@ -85,11 +85,6 @@ func (r Range) Union(o Range) Range {
 	return Range{Addr: lo, Size: hi - lo}
 }
 
-// Adjacent reports whether r and o touch without overlapping.
-func (r Range) Adjacent(o Range) bool {
-	return r.End() == o.Addr || o.End() == r.Addr
-}
-
 // Merge canonicalizes a set of ranges: sorts by address and coalesces
 // overlapping or adjacent ranges. The input slice is modified in place and a
 // (possibly shorter) slice aliasing it is returned.
@@ -124,30 +119,6 @@ func Coverage(rs []Range) uint64 {
 
 // CacheLineSize is the modeled cache-line granularity for writebacks.
 const CacheLineSize = 64
-
-// LineAlign returns the cache line range containing addr.
-func LineAlign(addr uint64) Range {
-	base := addr &^ uint64(CacheLineSize-1)
-	return Range{Addr: base, Size: CacheLineSize}
-}
-
-// Lines returns the cache-line-aligned ranges covering r, one Range per line.
-func Lines(r Range) []Range {
-	if r.Empty() {
-		return nil
-	}
-	first := r.Addr &^ uint64(CacheLineSize-1)
-	last := (r.End() - 1) &^ uint64(CacheLineSize-1)
-	n := (last-first)/CacheLineSize + 1
-	out := make([]Range, 0, n)
-	for base := first; ; base += CacheLineSize {
-		out = append(out, Range{Addr: base, Size: CacheLineSize})
-		if base == last {
-			break
-		}
-	}
-	return out
-}
 
 // SpanLines returns the single cache-line-aligned range covering r.
 func SpanLines(r Range) Range {

@@ -93,11 +93,8 @@ func TestUnionAdjacent(t *testing.T) {
 	if got := (Range{}).Union(R(3, 4)); got != R(3, 4) {
 		t.Errorf("empty Union = %v", got)
 	}
-	if !R(0, 10).Adjacent(R(10, 5)) || !R(10, 5).Adjacent(R(0, 10)) {
-		t.Errorf("adjacency not detected")
-	}
-	if R(0, 10).Adjacent(R(11, 5)) {
-		t.Errorf("gap reported adjacent")
+	if got := R(10, 5).Union(R(0, 10)); got != R(0, 15) {
+		t.Errorf("Union of adjacent ranges = %v", got)
 	}
 }
 
@@ -120,36 +117,6 @@ func TestMerge(t *testing.T) {
 func TestCoverage(t *testing.T) {
 	if got := Coverage([]Range{R(0, 10), R(5, 10), R(100, 1)}); got != 16 {
 		t.Errorf("Coverage = %d, want 16", got)
-	}
-}
-
-func TestLineAlign(t *testing.T) {
-	if got := LineAlign(0); got != R(0, 64) {
-		t.Errorf("LineAlign(0) = %v", got)
-	}
-	if got := LineAlign(63); got != R(0, 64) {
-		t.Errorf("LineAlign(63) = %v", got)
-	}
-	if got := LineAlign(64); got != R(64, 64) {
-		t.Errorf("LineAlign(64) = %v", got)
-	}
-	if got := LineAlign(130); got != R(128, 64) {
-		t.Errorf("LineAlign(130) = %v", got)
-	}
-}
-
-func TestLines(t *testing.T) {
-	if got := Lines(R(10, 4)); !reflect.DeepEqual(got, []Range{R(0, 64)}) {
-		t.Errorf("Lines within one line = %v", got)
-	}
-	if got := Lines(R(60, 8)); !reflect.DeepEqual(got, []Range{R(0, 64), R(64, 64)}) {
-		t.Errorf("Lines crossing boundary = %v", got)
-	}
-	if got := Lines(R(0, 129)); len(got) != 3 {
-		t.Errorf("Lines 3-line span = %v", got)
-	}
-	if got := Lines(Range{}); got != nil {
-		t.Errorf("Lines empty = %v", got)
 	}
 }
 
@@ -238,23 +205,16 @@ func TestQuickMergeCanonical(t *testing.T) {
 	}
 }
 
-// Property: Lines covers r and every line is aligned.
+// Property: SpanLines covers r with whole lines and no spare line.
 func TestQuickLines(t *testing.T) {
 	f := func(a1, s1 uint16) bool {
 		r := genRange(a1, s1)
-		ls := Lines(r)
-		if len(ls) == 0 {
+		span := SpanLines(r)
+		if span.Addr%CacheLineSize != 0 || span.Size%CacheLineSize != 0 {
 			return false
 		}
-		for i, l := range ls {
-			if l.Addr%CacheLineSize != 0 || l.Size != CacheLineSize {
-				return false
-			}
-			if i > 0 && ls[i-1].End() != l.Addr {
-				return false
-			}
-		}
-		return ls[0].Addr <= r.Addr && r.End() <= ls[len(ls)-1].End()
+		return span.Contains(r) && r.Addr-span.Addr < CacheLineSize &&
+			span.End()-r.End() < CacheLineSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

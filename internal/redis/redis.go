@@ -42,9 +42,8 @@ type Server struct {
 	pm  *pmem.Pool
 	p   *pmdk.Pool
 
-	index  map[string]uint64 // key -> entry addr (volatile)
-	lru    map[string]uint64 // key -> last access tick (volatile)
-	expiry map[string]uint64 // key -> expiry tick (volatile, like Redis TTLs before persistence)
+	index map[string]uint64 // key -> entry addr (volatile)
+	lru   map[string]uint64 // key -> last access tick (volatile)
 	// keys/keyPos mirror the index as a swap-remove slice so eviction can
 	// sample keys through the seeded rng: map iteration order is
 	// runtime-randomized and would make eviction — and with it the event
@@ -55,7 +54,7 @@ type Server struct {
 	clock  uint64
 	rng    *rand.Rand
 
-	hits, misses, evictions, expirations uint64
+	hits, misses, evictions uint64
 }
 
 const (
@@ -154,7 +153,6 @@ func (s *Server) Set(key string, value []byte) error {
 		s.p.Free(old, s.entrySize(old))
 		s.index[key] = entry
 		s.lru[key] = s.clock
-		delete(s.expiry, key) // SET clears any TTL, as in Redis
 		return nil
 	}
 	entry := s.newEntry(tx, key, value, s.ld(slot))
@@ -164,7 +162,6 @@ func (s *Server) Set(key string, value []byte) error {
 	s.index[key] = entry
 	s.trackKey(key)
 	s.lru[key] = s.clock
-	delete(s.expiry, key) // SET clears any TTL, as in Redis
 	return nil
 }
 
@@ -252,13 +249,9 @@ func (s *Server) unlink(tx *pmdk.Tx, key string, entry uint64) {
 	tx.Set(root+rdFCount, s.ld(root+rdFCount)-1)
 }
 
-// Get fetches key's value, lazily expiring it when its TTL is due.
+// Get fetches key's value.
 func (s *Server) Get(key string) ([]byte, bool) {
 	s.clock++
-	if s.expireIfDue(key) {
-		s.misses++
-		return nil, false
-	}
 	e, ok := s.index[key]
 	if !ok {
 		s.misses++
@@ -284,7 +277,6 @@ func (s *Server) Del(key string) (bool, error) {
 	delete(s.index, key)
 	s.untrackKey(key)
 	delete(s.lru, key)
-	delete(s.expiry, key)
 	return true, nil
 }
 

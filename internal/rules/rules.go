@@ -4,7 +4,11 @@
 // order specifications (§4.5, §8) with their configuration-file syntax.
 package rules
 
-import "pmdebugger/internal/report"
+import (
+	"fmt"
+
+	"pmdebugger/internal/report"
+)
 
 // Model is the persistency model of the program under test (§2.3).
 type Model uint8
@@ -34,6 +38,16 @@ func (m Model) String() string {
 	default:
 		return "model(?)"
 	}
+}
+
+// ParseModel is the inverse of Model.String.
+func ParseModel(s string) (Model, error) {
+	for _, m := range []Model{Strict, Epoch, Strand} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q (strict, epoch or strand)", s)
 }
 
 // Relaxed reports whether the model is one of the relaxed persistency

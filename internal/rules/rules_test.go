@@ -16,6 +16,19 @@ func TestModelStrings(t *testing.T) {
 	}
 }
 
+func TestParseModel(t *testing.T) {
+	for _, m := range []Model{Strict, Epoch, Strand} {
+		if got, err := ParseModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "Strict", "relaxed", "model(?)"} {
+		if _, err := ParseModel(bad); err == nil {
+			t.Errorf("ParseModel(%q) accepted", bad)
+		}
+	}
+}
+
 func TestForBugCoversAllTypes(t *testing.T) {
 	var union Set
 	for _, bt := range report.AllBugTypes() {

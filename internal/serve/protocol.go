@@ -95,9 +95,9 @@ func parseHello(line string) (Hello, error) {
 			}
 			h.Tenant = val
 		case "model":
-			m, err := parseModel(val)
+			m, err := rules.ParseModel(val)
 			if err != nil {
-				return Hello{}, err
+				return Hello{}, fmt.Errorf("serve: %w", err)
 			}
 			h.Model = m
 		case "drain":
@@ -131,20 +131,6 @@ func validTenant(s string) bool {
 		}
 	}
 	return true
-}
-
-// parseModel is the inverse of rules.Model.String.
-func parseModel(s string) (rules.Model, error) {
-	switch s {
-	case "strict":
-		return rules.Strict, nil
-	case "epoch":
-		return rules.Epoch, nil
-	case "strand":
-		return rules.Strand, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown model %q (strict, epoch or strand)", s)
-	}
 }
 
 // parseReportFrame parses the "REPORT <status> <len>" header line.

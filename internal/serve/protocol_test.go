@@ -27,7 +27,7 @@ func FuzzParseHello(f *testing.F) {
 		if !validTenant(h.Tenant) {
 			t.Fatalf("accepted invalid tenant %q from %q", h.Tenant, line)
 		}
-		if _, err := parseModel(h.Model.String()); err != nil {
+		if _, err := rules.ParseModel(h.Model.String()); err != nil {
 			t.Fatalf("accepted unknown model %d from %q", h.Model, line)
 		}
 		if h.Drain != DrainEager && h.Drain != DrainLazy {

@@ -21,7 +21,7 @@ import (
 )
 
 // startServer boots a server on ephemeral ports and registers shutdown.
-func startServer(t *testing.T, cfg Config) *Server {
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -42,7 +42,7 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 // recordTrace drives a memcached instance and returns the encoded trace.
-func recordTrace(t *testing.T, buggy, strands bool, ops int) ([]byte, rules.Model) {
+func recordTrace(t testing.TB, buggy, strands bool, ops int) ([]byte, rules.Model) {
 	t.Helper()
 	cache, err := memcached.New(memcached.Config{
 		PoolSize:    16 << 20,
@@ -73,7 +73,7 @@ func recordTrace(t *testing.T, buggy, strands bool, ops int) ([]byte, rules.Mode
 }
 
 // streamRaw sends pre-encoded trace bytes through a session.
-func streamRaw(t *testing.T, sess *Session, raw []byte) {
+func streamRaw(t testing.TB, sess *Session, raw []byte) {
 	t.Helper()
 	evs, err := trace.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
@@ -215,6 +215,55 @@ func TestShardedSession(t *testing.T) {
 	info := waitSessionState(t, srv, sess.ID())
 	if info.Shards < 2 || info.Fallback != "" {
 		t.Fatalf("session did not shard: %+v", info)
+	}
+}
+
+// BenchmarkServedSession times one served strand-memcached session, from
+// Dial to the REPORT frame, with one engine (shards=0) and with two strand
+// shards, under each drain discipline. Every configuration's served report
+// must equal its Offline replay before anything is timed. Run it at -cpu 2
+// or more: at one P the shards take turns.
+func BenchmarkServedSession(b *testing.B) {
+	raw, model := recordTrace(b, true, true, 20000)
+	evs, err := trace.ReadTrace(bytes.NewReader(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := startServer(b, Config{})
+	session := func(tb testing.TB, opt Options) string {
+		sess, err := Dial(srv.Addr(), opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sess.HandleBatch(evs)
+		sum, err := sess.Report()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return sum
+	}
+	var opts []Options
+	for _, drain := range []string{DrainEager, DrainLazy} {
+		for _, shards := range []int{0, 2} {
+			opt := Options{Tenant: "bench", Model: model, Drain: drain, Shards: shards}
+			want, err := Offline(bytes.NewReader(raw), opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := session(b, opt); got != want.Summary() {
+				b.Fatalf("%s shards=%d: served report differs from offline replay:\n%s\nvs\n%s",
+					drain, shards, got, want.Summary())
+			}
+			opts = append(opts, opt)
+		}
+	}
+	b.Logf("%d events per session", len(evs))
+	for _, opt := range opts {
+		b.Run(fmt.Sprintf("%s/shards=%d", opt.Drain, opt.Shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				session(b, opt)
+			}
+		})
 	}
 }
 

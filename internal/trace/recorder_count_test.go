@@ -4,27 +4,18 @@ import (
 	"testing"
 )
 
-// recount is the reference implementation Count replaced: a full rescan.
-func recount(r *Recorder, k Kind) int {
-	n := 0
-	for _, ev := range r.Events {
-		if ev.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-func checkCounts(t *testing.T, r *Recorder, label string) {
+// checkCounts requires Count and Counts to report the given per-kind
+// totals (stores, flushes, fences, registers, ends).
+func checkCounts(t *testing.T, r *Recorder, label string, want [5]int) {
 	t.Helper()
-	for _, k := range []Kind{KindStore, KindFlush, KindFence, KindRegister, KindEnd} {
-		if got, want := r.Count(k), recount(r, k); got != want {
-			t.Fatalf("%s: Count(%v) = %d, rescan says %d", label, k, got, want)
+	for i, k := range []Kind{KindStore, KindFlush, KindFence, KindRegister, KindEnd} {
+		if got := r.Count(k); got != want[i] {
+			t.Fatalf("%s: Count(%v) = %d, want %d", label, k, got, want[i])
 		}
 	}
-	s, f, fe := r.Counts()
-	if s != recount(r, KindStore) || f != recount(r, KindFlush) || fe != recount(r, KindFence) {
-		t.Fatalf("%s: Counts() = (%d,%d,%d) disagrees with rescan", label, s, f, fe)
+	if s, f, fe := r.Counts(); s != want[0] || f != want[1] || fe != want[2] {
+		t.Fatalf("%s: Counts() = (%d,%d,%d), want (%d,%d,%d)",
+			label, s, f, fe, want[0], want[1], want[2])
 	}
 }
 
@@ -35,36 +26,28 @@ func TestRecorderIncrementalCounts(t *testing.T) {
 	for i, k := range kinds {
 		r.HandleEvent(Event{Seq: uint64(i + 1), Kind: k})
 	}
-	checkCounts(t, r, "after HandleEvent")
+	checkCounts(t, r, "after HandleEvent", [5]int{3, 2, 1, 1, 1})
 
-	batch := make([]Event, 100)
+	batch := make([]Event, 99)
 	for i := range batch {
 		batch[i] = Event{Kind: Kind(i % 3)} // stores, flushes, fences
 	}
 	r.HandleBatch(batch)
-	checkCounts(t, r, "after HandleBatch")
+	checkCounts(t, r, "after HandleBatch", [5]int{36, 35, 34, 1, 1})
 
 	r.Reset()
-	if s, f, fe := r.Counts(); s+f+fe != 0 {
-		t.Fatalf("counts survive Reset: (%d,%d,%d)", s, f, fe)
-	}
+	checkCounts(t, r, "after Reset", [5]int{})
 	r.HandleEvent(Event{Kind: KindFence})
-	checkCounts(t, r, "after Reset+HandleEvent")
+	checkCounts(t, r, "after Reset+HandleEvent", [5]int{0, 0, 1, 0, 0})
 }
 
 // TestRecorderLiteralCounts checks a Recorder built by slice literal —
-// bypassing the handlers — still counts correctly via the lazy watermark.
+// bypassing the handlers — and extended by direct appends.
 func TestRecorderLiteralCounts(t *testing.T) {
 	r := &Recorder{Events: []Event{
 		{Kind: KindStore}, {Kind: KindStore}, {Kind: KindFence},
 	}}
-	if got := r.Count(KindStore); got != 2 {
-		t.Fatalf("literal recorder Count(store) = %d, want 2", got)
-	}
-	// Direct appends after the fact are caught up too.
+	checkCounts(t, r, "literal", [5]int{2, 0, 1, 0, 0})
 	r.Events = append(r.Events, Event{Kind: KindFlush})
-	if got := r.Count(KindFlush); got != 1 {
-		t.Fatalf("appended event missed: Count(clf) = %d, want 1", got)
-	}
-	checkCounts(t, r, "literal")
+	checkCounts(t, r, "literal+append", [5]int{2, 1, 1, 0, 0})
 }

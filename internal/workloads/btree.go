@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
 )
 
@@ -62,9 +61,6 @@ func ReattachBTree(p *pmdk.Pool, rootCell uint64) *BTree {
 
 // Name returns "b_tree".
 func (t *BTree) Name() string { return "b_tree" }
-
-// Model returns the epoch model: the tree is transactional.
-func (t *BTree) Model() rules.Model { return rules.Epoch }
 
 func (t *BTree) newNode(tx *pmdk.Tx, leaf bool) uint64 {
 	addr := t.p.Alloc(btNodeSize)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 )
 
 // CTree is a persistent crit-bit tree, the Go counterpart of PMDK's
@@ -43,9 +42,6 @@ func NewCTree(p *pmdk.Pool) (*CTree, error) {
 
 // Name returns "c_tree".
 func (t *CTree) Name() string { return "c_tree" }
-
-// Model returns the epoch model.
-func (t *CTree) Model() rules.Model { return rules.Epoch }
 
 func isLeaf(ptr uint64) bool     { return ptr&ctLeafTag != 0 }
 func leafAddr(ptr uint64) uint64 { return ptr &^ ctLeafTag }

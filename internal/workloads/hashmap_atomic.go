@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
 )
 
@@ -58,9 +57,6 @@ func NewHashmapAtomic(p *pmdk.Pool) (*HashmapAtomic, error) {
 
 // Name returns "hashmap_atomic".
 func (h *HashmapAtomic) Name() string { return "hashmap_atomic" }
-
-// Model returns the epoch model (the PMDK atomic API family).
-func (h *HashmapAtomic) Model() rules.Model { return rules.Epoch }
 
 func (h *HashmapAtomic) ld(addr uint64) uint64 { return h.p.Ctx().Load64(addr) }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 )
 
 // HashmapTX is a persistent chained hash table with transactional updates,
@@ -72,9 +71,6 @@ func NewHashmapTX(p *pmdk.Pool) (*HashmapTX, error) {
 
 // Name returns "hashmap_tx".
 func (h *HashmapTX) Name() string { return "hashmap_tx" }
-
-// Model returns the epoch model.
-func (h *HashmapTX) Model() rules.Model { return rules.Epoch }
 
 func (h *HashmapTX) ld(addr uint64) uint64 { return h.p.Ctx().Load64(addr) }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 )
 
 // Queue is a persistent circular-buffer FIFO, the Go counterpart of PMDK's
@@ -47,9 +46,6 @@ func NewQueue(p *pmdk.Pool, capacity uint64) (*Queue, error) {
 	tx.Commit()
 	return q, nil
 }
-
-// Model returns the epoch model.
-func (q *Queue) Model() rules.Model { return rules.Epoch }
 
 func (q *Queue) ld(addr uint64) uint64 { return q.p.Ctx().Load64(addr) }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 )
 
 // RBTree is a persistent red-black tree, the Go counterpart of PMDK's
@@ -53,9 +52,6 @@ func NewRBTree(p *pmdk.Pool) (*RBTree, error) {
 
 // Name returns "rb_tree".
 func (t *RBTree) Name() string { return "rb_tree" }
-
-// Model returns the epoch model.
-func (t *RBTree) Model() rules.Model { return rules.Epoch }
 
 func (t *RBTree) ld(addr uint64) uint64 { return t.p.Ctx().Load64(addr) }
 

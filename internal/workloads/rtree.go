@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 )
 
 // RTree is a persistent 16-ary radix tree over 64-bit keys, the Go
@@ -40,9 +39,6 @@ func NewRTree(p *pmdk.Pool) (*RTree, error) {
 
 // Name returns "r_tree".
 func (t *RTree) Name() string { return "r_tree" }
-
-// Model returns the epoch model.
-func (t *RTree) Model() rules.Model { return rules.Epoch }
 
 func (t *RTree) load(addr uint64) uint64 { return t.p.Ctx().Load64(addr) }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pmdebugger/internal/pmdk"
-	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
 )
 
@@ -48,9 +47,6 @@ func NewSynthStrand(p *pmdk.Pool) (*SynthStrand, error) {
 
 // Name returns "synth_strand".
 func (s *SynthStrand) Name() string { return "synth_strand" }
-
-// Model returns the strand model.
-func (s *SynthStrand) Model() rules.Model { return rules.Strand }
 
 func (s *SynthStrand) ld(addr uint64) uint64 { return s.p.Ctx().Load64(addr) }
 

@@ -21,8 +21,6 @@ import (
 type App interface {
 	// Name returns the benchmark name used in the paper's tables.
 	Name() string
-	// Model returns the persistency model the workload uses.
-	Model() rules.Model
 	// Insert adds or updates a key.
 	Insert(key, value uint64) error
 	// Get looks a key up.
