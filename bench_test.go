@@ -296,10 +296,10 @@ func BenchmarkReorganizations(b *testing.B) {
 // BenchmarkParallelReplay measures the sharded parallel trace-replay
 // pipeline on the synthetic strand benchmark: the trace partitions along
 // strand boundaries onto a GOMAXPROCS worker pool and the merged report is
-// identical to sequential replay. The parallel sub-benchmark reports its
-// speedup over the per-event sequential baseline (measured inline) as
-// speedup-x; with 4+ cores the shards replay concurrently and the speedup
-// scales with the core count, while on a single core it stays near 1x.
+// identical to sequential replay. The batched and parallel sub-benchmarks
+// report their speedup over the per-event sequential replay as speedup-x;
+// with 4+ cores the shards replay concurrently and the speedup scales with
+// the core count, while on a single core it stays near 1x.
 func BenchmarkParallelReplay(b *testing.B) {
 	rec := recordTrace(b, "synth_strand", 20000)
 	cfg := core.Config{Model: rules.Strand}
@@ -317,20 +317,27 @@ func BenchmarkParallelReplay(b *testing.B) {
 		rec.Replay(det)
 		det.Report()
 	}
-	// A fixed-iteration baseline measured outside the timed loops, so the
-	// batched and parallel sub-benchmarks can report speedup-x against it.
-	baseline := func() time.Duration {
-		const runs = 3
-		best := time.Duration(0)
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			sequential()
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
+	// arm times replay against a sequential replay run beside it in the
+	// same loop, with the benchmark timer stopped, so both see the same
+	// machine state and ns/op and allocs stay the arm's own. speedup-x is
+	// the ratio of the two sums, as in BenchmarkDelivery.
+	arm := func(name string, replay func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var own, seq time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				replay()
+				own += time.Since(start)
+				b.StopTimer()
+				start = time.Now()
+				sequential()
+				seq += time.Since(start)
+				b.StartTimer()
 			}
-		}
-		return best
-	}()
+			b.ReportMetric(float64(seq)/float64(own), "speedup-x")
+		})
+	}
 
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
@@ -339,27 +346,13 @@ func BenchmarkParallelReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(rec.Len()), "events/run")
 	})
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		var elapsed time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			det := core.New(cfg)
-			trace.ReplayEvents(rec.Events, det)
-			det.Report()
-			elapsed += time.Since(start)
-		}
-		b.ReportMetric(float64(baseline)/(float64(elapsed)/float64(b.N)), "speedup-x")
+	arm("batched", func() {
+		det := core.New(cfg)
+		trace.ReplayEvents(rec.Events, det)
+		det.Report()
 	})
-	b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-		b.ReportAllocs()
-		var elapsed time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			core.ReplayParallel(rec.Events, cfg, workers)
-			elapsed += time.Since(start)
-		}
-		b.ReportMetric(float64(baseline)/(float64(elapsed)/float64(b.N)), "speedup-x")
+	arm(fmt.Sprintf("parallel-%d", workers), func() {
+		core.ReplayParallel(rec.Events, cfg, workers)
 	})
 }
 

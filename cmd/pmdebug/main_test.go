@@ -133,53 +133,69 @@ func TestRunServeErrors(t *testing.T) {
 }
 
 // panicOnStore is a detector with a bug: it panics on the first store it
-// is handed, on whichever goroutine delivers it.
-type panicOnStore struct{ rep *report.Report }
+// is handed, on whichever goroutine delivers it. It notes whether anyone
+// asked for its report.
+type panicOnStore struct{ reported bool }
 
-func (d *panicOnStore) Name() string           { return "panicky" }
-func (d *panicOnStore) Report() *report.Report { return d.rep }
+func (d *panicOnStore) Name() string { return "panicky" }
+func (d *panicOnStore) Report() *report.Report {
+	d.reported = true
+	return report.New("panicky")
+}
 func (d *panicOnStore) HandleEvent(ev trace.Event) {
 	if ev.Kind == trace.KindStore {
 		panic("detector bug")
 	}
 }
 
-// failedShard is a detector whose report carries an infrastructure
-// failure, as a sharded detector's report does after a shard panicked.
-type failedShard struct{ *baselines.Nulgrind }
+// brokenShard splits into two shard handlers, a healthy one and one that
+// panics on its first store, as a broken shard engine would.
+type brokenShard struct{ panicOnStore }
 
-func (d failedShard) Report() *report.Report {
-	rep := report.New("failed-shard")
-	rep.AddFailure("detector shard 1/2 panicked")
-	return rep
+func (d *brokenShard) ShardHandlers() []trace.Handler {
+	return []trace.Handler{trace.MultiHandler{}, &d.panicOnStore}
 }
 
 // TestDetectFailsWhenDetectionFails requires the attach-run-report tail
-// to return an error, not a truncated report, when the detector panicked
-// on a pipeline consumer goroutine or its report carries failures.
+// to return an error, and to print no truncated report, when the detector
+// or one of its shard engines panicked on a pipeline consumer goroutine.
 func TestDetectFailsWhenDetectionFails(t *testing.T) {
+	whole := func() (baselines.Detector, *panicOnStore) {
+		d := &panicOnStore{}
+		return d, d
+	}
+	sharded := func() (baselines.Detector, *panicOnStore) {
+		d := &brokenShard{}
+		return d, &d.panicOnStore
+	}
 	for _, tc := range []struct {
 		name string
 		o    runOpts
-		det  baselines.Detector
+		mk   func() (baselines.Detector, *panicOnStore)
 		want string
 	}{
-		{"async", runOpts{async: true}, &panicOnStore{rep: report.New("panicky")}, "panicked"},
-		{"shards", runOpts{shards: 2}, &panicOnStore{rep: report.New("panicky")}, "panicked"},
-		{"report failure", runOpts{}, failedShard{baselines.NewNulgrind()}, "shard 1/2"},
+		{"async", runOpts{async: true}, whole, "handler panicked"},
+		{"shards fallback", runOpts{shards: 2}, whole, "handler panicked"},
+		{"shard engine", runOpts{shards: 2}, sharded, "shard 1 handler panicked"},
 	} {
 		pm := pmem.New(1 << 20)
 		work := func() error {
 			ctx := pm.Ctx()
 			for i := uint64(0); i < 8; i++ {
-				ctx.Store64(pm.Base()+i*64, i)
-				ctx.Persist(pm.Base()+i*64, 8)
+				st := ctx.StrandBegin()
+				st.Store64(pm.Base()+i*64, i)
+				st.Persist(pm.Base()+i*64, 8)
+				st.StrandEnd()
 			}
 			return nil
 		}
-		err := detect(tc.o, pm, tc.det, work)
+		det, panicky := tc.mk()
+		err := detect(tc.o, pm, det, work)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: detect = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if panicky.reported {
+			t.Errorf("%s: detect asked for a report after detection failed", tc.name)
 		}
 	}
 }

@@ -9,14 +9,13 @@ import (
 // of events with the per-event dispatch overhead hoisted out of the inner
 // loop. Stores dominate every trace the paper characterizes (§3), so the
 // fast path specializes runs of consecutive stores: for a run on one strand
-// the registration filter, the per-kind counter update, the space lookup and
-// the epoch query are all loop-invariant and execute once per run instead of
-// once per store. All other kinds, and every event when user rules or
-// selective registration are active, take the exact HandleEvent path.
+// the per-kind counter update, the space lookup and the epoch query are all
+// loop-invariant and execute once per run instead of once per store. All
+// other kinds, and every event when user rules are active, take the exact
+// HandleEvent path.
 func (d *Detector) HandleBatch(evs []trace.Event) {
-	if len(d.userRules) > 0 || d.cfg.RequireRegistration {
-		// User rules observe every event and the registration filter is
-		// per-address: nothing is loop-invariant, so keep the general path.
+	if len(d.userRules) > 0 {
+		// User rules observe every event: keep the general path.
 		for i := range evs {
 			d.handle(&evs[i])
 		}

@@ -22,30 +22,6 @@ func TestHandleBatchMatchesHandleEvent(t *testing.T) {
 	}
 }
 
-func TestHandleBatchRequireRegistration(t *testing.T) {
-	// With selective registration the per-event filter is not loop-invariant
-	// and the batch path must defer to HandleEvent.
-	var evs []trace.Event
-	seq := uint64(0)
-	emit := func(k trace.Kind, addr, size uint64) {
-		seq++
-		evs = append(evs, trace.Event{Seq: seq, Kind: k, Addr: addr, Size: size})
-	}
-	emit(trace.KindRegister, 0x1000, 0x100)
-	emit(trace.KindStore, 0x1000, 8) // tracked, never persisted
-	emit(trace.KindStore, 0x9000, 8) // outside every registered region
-	emit(trace.KindEnd, 0, 0)
-
-	cfg := Config{Model: rules.Strict, RequireRegistration: true}
-	want := sequentialReport(evs, cfg)
-	d := New(cfg)
-	d.HandleBatch(evs)
-	assertSameReport(t, want, d.Report(), "require-registration")
-	if got := d.Report().Len(); got != 1 {
-		t.Fatalf("got %d bugs, want 1 (only the registered store)", got)
-	}
-}
-
 // eventTally counts every event it observes.
 type eventTally struct{ events int }
 

@@ -63,12 +63,6 @@ type Config struct {
 	// differential-tested in index_test.go and fuzz_test.go — so this
 	// exists for that comparison and for the hotpath benchmarks.
 	DisableIndex bool
-	// RequireRegistration restricts tracking to regions registered with
-	// Register_pmem (§6): stores and writebacks outside every registered
-	// region are ignored. The pmem substrate auto-registers the whole pool
-	// on Attach, so this only changes behavior for detectors fed selective
-	// Register events (the artifact's address_specific function tests).
-	RequireRegistration bool
 }
 
 func (c *Config) fill() {
@@ -109,10 +103,6 @@ type Detector struct {
 	userRules []UserRule
 	ended     bool
 
-	// regions are the registered PM regions when RequireRegistration is
-	// set, kept merged and address-ordered.
-	regions []intervals.Range
-
 	// spareSpaces recycles bookkeeping spaces of retired strand sections:
 	// strand-heavy programs open sections at operation rate, and
 	// re-allocating the array and tree each time would dominate.
@@ -129,6 +119,13 @@ type Detector struct {
 	// cache-line index (index.go). New sets it to the package constant;
 	// tests lower it to drive the indexed path on short fence intervals.
 	scanLimit int
+
+	// The shard engines of a ShardedDetector are allocated back to back
+	// and driven from separate goroutines. This pad keeps one engine's
+	// fields off the cache lines of the next: without it, 224-byte
+	// engines shared a line, and routed replay at two Ps ran about 20%
+	// slower.
+	_ [intervals.CacheLineSize]byte
 }
 
 // New returns a PMDebugger detector with the given configuration.
@@ -214,16 +211,10 @@ func (d *Detector) handle(ev *trace.Event) {
 	switch ev.Kind {
 	case trace.KindStore:
 		d.rep.Counters.Stores++
-		if !d.inRegisteredRegion(ev.Addr, ev.Size) {
-			break
-		}
 		d.spaceFor(ev.Strand).store(ev, d.currentEpoch())
 
 	case trace.KindFlush:
 		d.rep.Counters.Flushes++
-		if !d.inRegisteredRegion(ev.Addr, ev.Size) {
-			break
-		}
 		anyNew, anyOld := d.spaceFor(ev.Strand).flush(ev)
 		if d.order != nil {
 			d.order.noteFlush(ev)
@@ -291,16 +282,11 @@ func (d *Detector) handle(ev *trace.Event) {
 		}
 
 	case trace.KindRegister:
+		// Registration names regions for order specs only: the pool
+		// registers itself whole on Attach (§6), so tracking never depends
+		// on it, and Unregister events leave tracking alone.
 		if d.order != nil {
 			d.order.noteRegister(ev)
-		}
-		if d.cfg.RequireRegistration && ev.Size > 0 {
-			d.regions = intervals.Merge(append(d.regions, intervals.R(ev.Addr, ev.Size)))
-		}
-
-	case trace.KindUnregister:
-		if d.cfg.RequireRegistration && ev.Size > 0 {
-			d.unregister(intervals.R(ev.Addr, ev.Size))
 		}
 
 	case trace.KindTxLogAdd:
@@ -464,34 +450,6 @@ func (d *Detector) Report() *report.Report {
 // Counters returns the current bookkeeping counters without finalizing the
 // report.
 func (d *Detector) Counters() report.Counters { return d.rep.Counters }
-
-// inRegisteredRegion reports whether [addr, addr+size) should be tracked.
-func (d *Detector) inRegisteredRegion(addr, size uint64) bool {
-	if !d.cfg.RequireRegistration {
-		return true
-	}
-	r := intervals.R(addr, size)
-	for _, reg := range d.regions {
-		if reg.Overlaps(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// unregister removes a region and purges its bookkeeping: an unregistered
-// location is no longer a debugging target, so pending records for it must
-// not surface as end-of-program bugs.
-func (d *Detector) unregister(r intervals.Range) {
-	var kept []intervals.Range
-	for _, reg := range d.regions {
-		kept = append(kept, reg.Subtract(r)...)
-	}
-	d.regions = intervals.Merge(kept)
-	for _, s := range d.spaces {
-		s.purge(r)
-	}
-}
 
 // TreeLen returns the current AVL tree size of the given strand's space
 // (strand 0 outside the strand model). Exposed for the Fig. 11 analysis and

@@ -680,3 +680,25 @@ func TestLackDurabilityInEpochFromTree(t *testing.T) {
 		})
 	}
 }
+
+// TestRegistrationOffByDefault checks that Register and Unregister events
+// leave tracking alone, on the per-event and the batch path: a store is
+// tracked whether or not a registered region covers it, and unregistering
+// its range drops nothing.
+func TestRegistrationOffByDefault(t *testing.T) {
+	evs := []trace.Event{
+		{Seq: 1, Kind: trace.KindRegister, Addr: 0x1000, Size: 0x100},
+		{Seq: 2, Kind: trace.KindStore, Addr: 0x1000, Size: 8}, // inside the region
+		{Seq: 3, Kind: trace.KindStore, Addr: 0x9000, Size: 8}, // outside every region
+		{Seq: 4, Kind: trace.KindUnregister, Addr: 0x1000, Size: 0x100},
+		{Seq: 5, Kind: trace.KindEnd},
+	}
+	cfg := Config{Model: rules.Strict, Rules: rules.RuleNoDurability}
+	batch := New(cfg)
+	batch.HandleBatch(evs)
+	for _, rep := range []*report.Report{sequentialReport(evs, cfg), batch.Report()} {
+		if rep.Len() != 2 || rep.Bugs[0].Addr != 0x1000 || rep.Bugs[1].Addr != 0x9000 {
+			t.Fatalf("registration changed tracking:\n%s", rep.Summary())
+		}
+	}
+}

@@ -38,23 +38,22 @@ package core
 // the ledger's Fig. 8 programs average 1.2 to 48 stores per fence), the MRU
 // probe answers nearly every query they make, and a scan of a few hundred
 // entries is cheaper than a map insert per store. So store does not index;
-// a query that misses the MRU probe (and every purge and markReported)
-// first checks the fence interval's array length. Up to scanLimit entries
-// it takes the reference interval scan; past it the index catches up from
-// the last indexed entry and answers. A fence interval that never outgrows
-// the limit never touches the map.
+// a query that misses the MRU probe (and every markReported) first checks
+// the fence interval's array length. Up to scanLimit entries it takes the
+// reference interval scan; past it the index catches up from the last
+// indexed entry and answers. A fence interval that never outgrows the
+// limit never touches the map.
 //
 // The index and the signatures are conservative supersets: entries are
 // indexed under the lines of their range when they are caught up, and
-// signed with them when they are stored, and later operations (flush
-// splits, purges) only ever shrink an entry's range within the span it had
-// then, so a record can never overlap a query without sharing an indexed
-// line and a signature bit with it. Every consult therefore re-checks the
-// scan path's exact predicates (interval prefilter gate, per-entry
-// overlap), which keeps the indexed path behaviorally identical to the
-// Config.DisableIndex scan fallback, which never consults a signature —
-// property- and fuzz-tested in index_test.go / fuzz_test.go, at scan
-// limits 0, 4 and the default.
+// signed with them when they are stored, and flush splits only ever shrink
+// an entry's range within the span it had then, so a record can never
+// overlap a query without sharing an indexed line and a signature bit with
+// it. Every consult therefore re-checks the scan path's exact predicates
+// (interval prefilter gate, per-entry overlap), which keeps the indexed
+// path behaviorally identical to the Config.DisableIndex scan fallback,
+// which never consults a signature — property- and fuzz-tested in
+// index_test.go / fuzz_test.go, at scan limits 0, 4 and the default.
 
 import (
 	"math/bits"

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pmdebugger/internal/intervals"
 	"pmdebugger/internal/report"
 	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
@@ -54,14 +53,13 @@ func requireIdentical(t *testing.T, idx, scan *report.Report, label string) {
 type streamFlavor int
 
 const (
-	flavorStrict  streamFlavor = iota
-	flavorRegions              // strict + selective registration with purges
+	flavorStrict streamFlavor = iota
 	flavorEpoch
 	flavorStrand
 )
 
 // genFlavorStream produces a deterministic pseudo-random event stream in a narrow
-// address window so stores, flushes, purges and splits overlap heavily —
+// address window so stores, flushes and splits overlap heavily —
 // the regime where the indexed and scan paths could plausibly diverge.
 func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 	const base = 0x1000_0000
@@ -74,9 +72,6 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 		evs = append(evs, trace.Event{Seq: seq, Kind: kind, Addr: addr, Size: size, Strand: strand})
 	}
 	addr := func() uint64 { return base + uint64(rng.Intn(window)) }
-	if flavor == flavorRegions {
-		emit(trace.KindRegister, base, window)
-	}
 	epochOpen, strandOpen := false, false
 	for i := 0; i < n; i++ {
 		switch rng.Intn(20) {
@@ -98,9 +93,6 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 			emit(trace.KindFence, 0, 0)
 		case 17:
 			switch flavor {
-			case flavorRegions:
-				// Unregister part of the window: purges live bookkeeping.
-				emit(trace.KindUnregister, addr(), uint64(rng.Intn(256))+1)
 			case flavorEpoch:
 				if epochOpen {
 					emit(trace.KindEpochEnd, 0, 0)
@@ -122,12 +114,7 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 				emit(trace.KindStore, addr(), 8)
 			}
 		case 18:
-			if flavor == flavorRegions {
-				// Re-register so later events are tracked again.
-				emit(trace.KindRegister, addr()&^255, 512)
-			} else {
-				emit(trace.KindFlush, addr()&^63, 64)
-			}
+			emit(trace.KindFlush, addr()&^63, 64)
 		case 19:
 			// Dispersed store far from the window: keeps old intervals
 			// reachable so the MRU probe's negative filter is exercised.
@@ -146,8 +133,6 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 
 func flavorConfig(flavor streamFlavor) Config {
 	switch flavor {
-	case flavorRegions:
-		return Config{Model: rules.Strict, RequireRegistration: true}
 	case flavorEpoch:
 		return Config{Model: rules.Epoch}
 	case flavorStrand:
@@ -159,8 +144,8 @@ func flavorConfig(flavor streamFlavor) Config {
 
 // TestIndexedMatchesScanRandom is the property test for the index
 // invariant: for random overlapping event streams across every persistency
-// model — including purges (Unregister_pmem), epoch-end markReported sweeps
-// and per-strand spaces — the indexed detector's report is byte-identical
+// model — including epoch-end markReported sweeps and per-strand spaces —
+// the indexed detector's report is byte-identical
 // to the reference scan detector's at every test scan limit.
 func TestIndexedMatchesScanRandom(t *testing.T) {
 	flavors := []struct {
@@ -168,7 +153,6 @@ func TestIndexedMatchesScanRandom(t *testing.T) {
 		flavor streamFlavor
 	}{
 		{"strict", flavorStrict},
-		{"regions", flavorRegions},
 		{"epoch", flavorEpoch},
 		{"strand", flavorStrand},
 	}
@@ -193,69 +177,6 @@ func TestIndexedMatchesScanRandom(t *testing.T) {
 					requireIdentical(t, idx, scan, fmt.Sprintf("%s/%s/limit=%d", fl.name, sh.name, limit))
 				}
 			}
-		}
-	}
-}
-
-// TestPurgeTightensIntervalBounds checks the stale-bounds satellite: after a
-// purge empties every live entry of a CLF interval, the interval's
-// collective range must shrink so the prefilter skips it. A flush over the
-// purged region then persists nothing — and both paths agree.
-func TestPurgeTightensIntervalBounds(t *testing.T) {
-	mk := func(disable bool) *Detector {
-		return New(Config{Model: rules.Strict, RequireRegistration: true, DisableIndex: disable})
-	}
-	evs := []trace.Event{
-		{Seq: 1, Kind: trace.KindRegister, Addr: 0x1000, Size: 0x2000},
-		{Seq: 2, Kind: trace.KindStore, Addr: 0x1000, Size: 8},
-		{Seq: 3, Kind: trace.KindStore, Addr: 0x2000, Size: 8},
-		{Seq: 4, Kind: trace.KindUnregister, Addr: 0x1000, Size: 8},
-	}
-	var sums []string
-	for _, disable := range []bool{false, true} {
-		d := mk(disable)
-		for _, ev := range evs {
-			d.HandleEvent(ev)
-		}
-		// The purge emptied the interval's only entry at 0x1000; its bounds
-		// must no longer cover [0x1000, 0x1008).
-		m := &d.space0.meta[0]
-		if m.rng().ContainsAddr(0x1000) {
-			t.Fatalf("disable=%v: interval bounds %v still cover purged entry", disable, m.rng())
-		}
-		if !m.rng().ContainsAddr(0x2000) {
-			t.Fatalf("disable=%v: interval bounds %v lost live entry", disable, m.rng())
-		}
-		// Flushing a line inside the purged region persists nothing: the
-		// ghost entry must not satisfy the flush.
-		d.HandleEvent(trace.Event{Seq: 5, Kind: trace.KindFlush, Addr: 0x1000 &^ 63, Size: 64})
-		d.HandleEvent(trace.Event{Seq: 6, Kind: trace.KindEnd})
-		rep := d.Report()
-		if !rep.Has(report.FlushNothing) {
-			t.Fatalf("disable=%v: expected flush-nothing over fully purged region\n%s",
-				disable, rep.Summary())
-		}
-		sums = append(sums, rep.Summary())
-	}
-	if sums[0] != sums[1] {
-		t.Fatalf("indexed and scan reports differ\n--- indexed ---\n%s\n--- scan ---\n%s",
-			sums[0], sums[1])
-	}
-}
-
-// TestPurgeAllEntriesEmptiesBounds covers the degenerate tightening case: a
-// purge that zeroes every entry of an interval leaves an empty collective
-// range, so rng() is Range{} and the interval is skipped everywhere.
-func TestPurgeAllEntriesEmptiesBounds(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		d := New(Config{Model: rules.Strict, RequireRegistration: true, DisableIndex: disable})
-		d.HandleEvent(trace.Event{Seq: 1, Kind: trace.KindRegister, Addr: 0x1000, Size: 0x1000})
-		d.HandleEvent(trace.Event{Seq: 2, Kind: trace.KindStore, Addr: 0x1100, Size: 16})
-		d.HandleEvent(trace.Event{Seq: 3, Kind: trace.KindStore, Addr: 0x1200, Size: 16})
-		d.HandleEvent(trace.Event{Seq: 4, Kind: trace.KindUnregister, Addr: 0x1000, Size: 0x1000})
-		m := &d.space0.meta[0]
-		if got := m.rng(); got != (intervals.Range{}) {
-			t.Fatalf("disable=%v: fully purged interval has non-empty bounds %v", disable, got)
 		}
 	}
 }

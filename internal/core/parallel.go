@@ -20,7 +20,7 @@ import (
 // replaying the stream sequentially into one Detector. Configurations that
 // cannot shard (non-strand models, order specs, epoch-scoped rules) replay
 // sequentially; global events in a strand trace (epoch markers, log adds)
-// drain every shard before they are delivered.
+// go to every shard, each at its point in that shard's subsequence.
 func ReplayParallel(events []trace.Event, cfg Config, workers int) *report.Report {
 	rep, _ := replaySharded(cfg, workers, func(h trace.Handler) error {
 		trace.ReplayEvents(events, h)

@@ -145,8 +145,9 @@ func TestReplayParallelStreamMatchesSequential(t *testing.T) {
 
 func TestReplayParallelStreamAbortsToSequential(t *testing.T) {
 	// Epoch markers deep in the stream, after work has fanned out to every
-	// shard: each is delivered behind a barrier across the shards, in one
-	// pass over the stream, and the report is still the sequential one.
+	// shard: each goes to every shard behind that shard's earlier events,
+	// in one pass over the stream, and the report is still the sequential
+	// one.
 	rec := recordStrandTrace(t, 32)
 	events := rec.Events[:len(rec.Events)-1] // drop KindEnd
 	events = append(events,

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-
 	"pmdebugger/internal/report"
 	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
@@ -18,9 +15,9 @@ import (
 // inline delivery.
 
 // epochRules are the rule bits whose verdicts depend on epoch sections or
-// transaction log events — the global (cross-strand) part of the stream
-// that sharded delivery sequences with barriers rather than replays
-// per-shard. Configurations with any of them enabled are not shardable.
+// transaction log events — the global (cross-strand) part of the stream,
+// whose rules read every strand's records while a shard holds only its
+// own. Configurations with any of them enabled are not shardable.
 const epochRules = rules.RuleRedundantLogging | rules.RuleLackDurabilityInEpoch |
 	rules.RuleRedundantEpochFence
 
@@ -53,20 +50,15 @@ func shardRefusal(cfg Config) string {
 // callers can report the degradation loudly instead of benchmarking the
 // wrong mode.
 //
-// A shard handler that panics (an engine bug) is poisoned: its remaining
-// deliveries are dropped and the panic is recorded as a report failure
-// entry, so Sync/Close/Report never deadlock and the final report carries
-// the evidence instead of the process crashing.
+// A shard engine that panics on a routed pipeline's consumer goroutine is
+// caught by that shard's ring like any other handler's panic: the ring
+// drops its later deliveries and Pipeline.Err names the shard.
 type ShardedDetector struct {
 	cfg      Config
 	dets     []*Detector
-	shards   []*shardHandler // guarded per-shard wrappers, same order as dets
-	handlers []trace.Handler // shards, as the trace.Sharder view
+	handlers []trace.Handler // dets, as the trace.Sharder view
 	fallback string          // non-empty: why sharding was declined
 	one      [1]trace.Event  // HandleEvent's batch of one
-
-	mu       sync.Mutex
-	failures []string
 }
 
 // NewSharded returns a detector fanned out across the given number of
@@ -81,12 +73,10 @@ func NewSharded(cfg Config, shards int) *ShardedDetector {
 		shards = 1
 	}
 	sd.dets = make([]*Detector, shards)
-	sd.shards = make([]*shardHandler, shards)
 	sd.handlers = make([]trace.Handler, shards)
 	for i := range sd.dets {
 		sd.dets[i] = New(cfg)
-		sd.shards[i] = &shardHandler{sd: sd, shard: i, det: sd.dets[i]}
-		sd.handlers[i] = sd.shards[i]
+		sd.handlers[i] = sd.dets[i]
 	}
 	return sd
 }
@@ -104,9 +94,9 @@ func (sd *ShardedDetector) Fallback() bool { return sd.fallback != "" }
 // FallbackReason returns why sharding was declined ("" when sharded).
 func (sd *ShardedDetector) FallbackReason() string { return sd.fallback }
 
-// ShardHandlers implements trace.Sharder: one guarded handler per shard.
-// In fallback mode it returns nil, which makes a pipeline built from it a
-// single ring around the ShardedDetector itself.
+// ShardHandlers implements trace.Sharder: the shard engines, in shard
+// order. In fallback mode it returns nil, which makes a pipeline built from
+// it a single ring around the ShardedDetector itself.
 func (sd *ShardedDetector) ShardHandlers() []trace.Handler {
 	if sd.Fallback() {
 		return nil
@@ -114,98 +104,40 @@ func (sd *ShardedDetector) ShardHandlers() []trace.Handler {
 	return sd.handlers
 }
 
-// HandleEvent routes one event synchronously by trace.Route's rules, with
-// no barrier: there is nothing in flight to drain. In fallback mode every
-// event passes through to the single engine unchanged.
+// HandleEvent routes one event synchronously by trace.Route's rules. In
+// fallback mode every event passes through to the single engine unchanged.
 func (sd *ShardedDetector) HandleEvent(ev trace.Event) {
-	if sd.Fallback() {
-		sd.shards[0].HandleEvent(ev)
-		return
-	}
 	sd.one[0] = ev
-	trace.Route(sd.one[:], sd.shards, nil)
+	sd.HandleBatch(sd.one[:])
 }
 
 // HandleBatch implements the batch fast path of HandleEvent.
 func (sd *ShardedDetector) HandleBatch(evs []trace.Event) {
 	if sd.Fallback() {
-		sd.shards[0].HandleBatch(evs)
+		sd.dets[0].HandleBatch(evs)
 		return
 	}
-	trace.Route(evs, sd.shards, nil)
-}
-
-// noteFailure records a recovered shard panic.
-func (sd *ShardedDetector) noteFailure(shard int, r any) {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	sd.failures = append(sd.failures,
-		fmt.Sprintf("detector shard %d/%d panicked: %v (its remaining events were dropped)",
-			shard, len(sd.dets), r))
+	trace.Route(evs, sd.dets)
 }
 
 // Report finalizes every shard engine and merges their reports into the
 // deterministic global report (report.Merge — identical to a sequential
-// replay for shardable configurations), carrying any recorded shard
-// failures. Call it only after a delivery barrier (Pool.End, Sync or
-// Detach) when attached asynchronously.
+// replay for shardable configurations). Call it only after a delivery
+// barrier (Pool.End, Sync or Detach) when attached asynchronously.
 func (sd *ShardedDetector) Report() *report.Report {
-	var rep *report.Report
 	if len(sd.dets) == 1 {
 		// Single engine: its report is already the sequential report; a
 		// merge would only re-sort what is in order.
-		rep = sd.dets[0].Report()
-	} else {
-		reports := make([]*report.Report, len(sd.dets))
-		for i, d := range sd.dets {
-			reports[i] = d.Report()
-		}
-		rep = report.Merge("pmdebugger", reports)
+		return sd.dets[0].Report()
 	}
-	sd.mu.Lock()
-	rep.Failures = append(rep.Failures, sd.failures...)
-	sd.mu.Unlock()
-	return rep
-}
-
-// shardHandler guards one shard engine: a panic in the engine poisons the
-// shard (subsequent deliveries are dropped) and is recorded as a report
-// failure, so the consumer goroutine, Sync and Close keep working. Each
-// shardHandler is driven from a single goroutine — its shard's ring
-// consumer (or the producer, when routed inline) — so poisoned needs no
-// synchronization.
-type shardHandler struct {
-	sd       *ShardedDetector
-	shard    int
-	det      *Detector
-	poisoned bool
-}
-
-func (h *shardHandler) HandleEvent(ev trace.Event) {
-	if h.poisoned {
-		return
+	reports := make([]*report.Report, len(sd.dets))
+	for i, d := range sd.dets {
+		reports[i] = d.Report()
 	}
-	defer h.guard()
-	h.det.HandleEvent(ev)
-}
-
-func (h *shardHandler) HandleBatch(evs []trace.Event) {
-	if h.poisoned {
-		return
-	}
-	defer h.guard()
-	h.det.HandleBatch(evs)
-}
-
-func (h *shardHandler) guard() {
-	if r := recover(); r != nil {
-		h.poisoned = true
-		h.sd.noteFailure(h.shard, r)
-	}
+	return report.Merge("pmdebugger", reports)
 }
 
 var (
 	_ trace.BatchHandler = (*ShardedDetector)(nil)
 	_ trace.Sharder      = (*ShardedDetector)(nil)
-	_ trace.BatchHandler = (*shardHandler)(nil)
 )

@@ -49,7 +49,7 @@ func FuzzShardedVsInline(f *testing.F) {
 				emit(trace.KindJoinStrand, strand, 0, 0)
 			case 7: // store crossing cache lines
 				emit(trace.KindStore, strand, base+arg*8, 64+arg%64)
-			case 8: // epoch begin (global: a barrier across the shards)
+			case 8: // epoch begin (global: broadcast to every shard)
 				emit(trace.KindEpochBegin, strand, 0, 0)
 			case 9: // epoch end (global)
 				emit(trace.KindEpochEnd, strand, 0, 0)

@@ -117,47 +117,39 @@ func TestShardedFallback(t *testing.T) {
 }
 
 // TestShardedPanicBecomesReportFailure breaks one shard engine and checks
-// the full recovery chain: the shard is poisoned instead of killing its
-// consumer goroutine, Sync/Close/Report all complete, and the merged report
-// carries a failure entry naming the shard — visibly, in the summary.
+// the recovery chain: the shard's ring catches the panic instead of losing
+// its consumer goroutine, Sync and Close complete, Pipeline.Err names the
+// shard, and the healthy shard's findings survive the merge.
 func TestShardedPanicBecomesReportFailure(t *testing.T) {
 	rec := recordStrandTrace(t, 60)
 	cfg := Config{Model: rules.Strand}
 	sd := NewSharded(cfg, 2)
 	// A nil engine makes the first delivery panic exactly like an engine bug
-	// would, inside the shard handler's guard.
-	sd.handlers[1].(*shardHandler).det = nil
+	// would, on the shard's consumer goroutine.
+	sd.handlers[1] = (*Detector)(nil)
 
 	sp := trace.NewPipeline(sd, trace.PipelineOptions{Shards: sd.ShardHandlers()})
 	sp.HandleBatch(rec.Events)
 	sp.Sync()
 	sp.Close()
 
-	rep := sd.Report()
-	if len(rep.Failures) != 1 {
-		t.Fatalf("Failures = %v, want exactly one entry", rep.Failures)
+	if err := sp.Err(); err == nil || !strings.Contains(err.Error(), "shard 1 handler panicked") {
+		t.Fatalf("Err() = %v, want shard 1's recovered panic", err)
 	}
-	if !strings.Contains(rep.Failures[0], "shard 1/2 panicked") {
-		t.Fatalf("failure entry does not name the shard: %q", rep.Failures[0])
-	}
-	if !strings.Contains(rep.Summary(), "detection failure") {
-		t.Fatalf("summary hides the failure:\n%s", rep.Summary())
-	}
-	// The healthy shard's findings must survive the merge.
-	if !rep.Has(report.NoDurability) {
+	if rep := sd.Report(); !rep.Has(report.NoDurability) {
 		t.Fatalf("healthy shard's bugs missing:\n%s", rep.Summary())
 	}
 }
 
 // TestShardedPanicSurvivesPoolEnd is the same recovery chain end-to-end
 // through a pool: a broken shard engine under a sharded async attach must
-// not hang Pool.End's drain barrier, and the failure reaches the summary.
+// not hang Pool.End's drain barrier, and the pipeline names the shard.
 func TestShardedPanicSurvivesPoolEnd(t *testing.T) {
 	p := pmem.New(1 << 20)
 	cfg := Config{Model: rules.Strand}
 	sd := NewSharded(cfg, 2)
-	sd.handlers[1].(*shardHandler).det = nil // first delivery on shard 1 panics
-	p.AttachWith(sd, pmem.AttachOptions{Async: true, Shards: 2})
+	sd.handlers[1] = (*Detector)(nil) // first delivery on shard 1 panics
+	pipe := p.AttachWith(sd, pmem.AttachOptions{Async: true, Shards: 2})
 	c := p.Ctx()
 	for i := 0; i < 100; i++ {
 		st := c.StrandBegin()
@@ -167,8 +159,7 @@ func TestShardedPanicSurvivesPoolEnd(t *testing.T) {
 		st.StrandEnd()
 	}
 	p.End() // must not hang on the broken shard
-	sum := sd.Report().Summary()
-	if !strings.Contains(sum, "detection failure") || !strings.Contains(sum, "shard 1/2") {
-		t.Fatalf("broken shard not surfaced:\n%s", sum)
+	if err := pipe.Err(); err == nil || !strings.Contains(err.Error(), "shard 1 handler panicked") {
+		t.Fatalf("Err() = %v, want shard 1's recovered panic", err)
 	}
 }

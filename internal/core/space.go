@@ -29,7 +29,7 @@ const (
 //
 // lines is the interval's cache-line signature: the OR of lineSig over
 // every entry's range as stored. Entries only shrink after they are
-// recorded (flush splits, purges), so it stays a superset of the lines its
+// recorded (flush splits), so it stays a superset of the lines its
 // live entries touch, and an interval whose signature shares no bit with a
 // query's cannot hold an entry overlapping it.
 type clfMeta struct {
@@ -525,7 +525,10 @@ func (s *space) visitArray(fn func(it avl.Item, flushed bool)) {
 		m := &s.meta[mi]
 		for i := m.start; i < m.end; i++ {
 			if s.arr[i].Size == 0 {
-				continue // purged (Unregister_pmem)
+				// A zero-size store writes nothing, so there is nothing
+				// to persist. pmem never emits one; a decoded trace or a
+				// direct HandleEvent caller may.
+				continue
 			}
 			fn(s.arr[i], s.arr[i].Flushed || m.state == allFlushed)
 		}
@@ -545,97 +548,6 @@ func (s *space) visitEpoch(id int32, fn func(it avl.Item)) {
 	if s.tree.MaxEpochs() >= id {
 		s.tree.Visit(func(it avl.Item) { pick(it, it.Flushed) })
 	}
-}
-
-// purge drops all tracking for records overlapping r (Unregister_pmem):
-// array entries shrink to their non-overlapping remainders (a zero-size
-// entry is inert everywhere), tree records are removed or truncated.
-func (s *space) purge(r intervals.Range) {
-	qs := s.querySig(r)
-	if s.indexed() {
-		s.forEachCandidateInterval(s.candidates(r), func(iv int32, ids []int32) {
-			s.purgeOne(&s.meta[iv], r, qs, ids)
-		})
-	} else {
-		for mi := range s.meta {
-			s.purgeOne(&s.meta[mi], r, qs, nil)
-		}
-	}
-	for _, old := range s.tree.CollectOverlapping(r) {
-		s.tree.Delete(old.Addr)
-		for _, rem := range old.Range().Subtract(r) {
-			keep := old
-			keep.Addr, keep.Size = rem.Addr, rem.Size
-			s.tree.InsertDisjoint(keep)
-		}
-	}
-}
-
-// purgeOne purges one CLF interval. ids, when non-nil, restricts the entry
-// pass to the purge range's cache-line candidates (exact: a purged entry
-// always shares a line with r). Intervals whose entries actually shrank get
-// their collective bounds recomputed so the range prefilter stops visiting
-// intervals whose live entries no longer overlap anything. The line
-// signature is left as it is: shrinking entries keeps it a superset.
-func (s *space) purgeOne(m *clfMeta, r intervals.Range, qs uint64, ids []int32) {
-	if m.empty() || !r.Overlaps(m.rng()) || m.linesMiss(qs) {
-		return
-	}
-	changed := false
-	if ids != nil {
-		for _, id := range ids {
-			changed = s.purgeEntry(r, int(id)) || changed
-		}
-	} else {
-		for i := m.start; i < m.end; i++ {
-			changed = s.purgeEntry(r, i) || changed
-		}
-	}
-	if changed {
-		s.tightenBounds(m)
-	}
-}
-
-// purgeEntry shrinks one array entry to its remainder outside r, reporting
-// whether the entry was modified.
-func (s *space) purgeEntry(r intervals.Range, i int) bool {
-	e := &s.arr[i]
-	if !e.Range().Overlaps(r) {
-		return false
-	}
-	rem := e.Range().Subtract(r)
-	if len(rem) == 0 {
-		e.Size = 0
-		return true
-	}
-	// Keep the first remainder in place; extras go to the tree.
-	e.Addr, e.Size = rem[0].Addr, rem[0].Size
-	for _, extra := range rem[1:] {
-		keep := *e
-		keep.Addr, keep.Size = extra.Addr, extra.Size
-		s.tree.Insert(keep)
-	}
-	return true
-}
-
-// tightenBounds recomputes a CLF interval's collective address range from
-// its live (non-purged) entries. With no live entries left the bounds
-// become the empty sentinel, so rng() is empty and every range prefilter
-// skips the interval.
-func (s *space) tightenBounds(m *clfMeta) {
-	lo, hi := ^uint64(0), uint64(0)
-	for i := m.start; i < m.end; i++ {
-		if s.arr[i].Size == 0 {
-			continue
-		}
-		if s.arr[i].Addr < lo {
-			lo = s.arr[i].Addr
-		}
-		if s.arr[i].End() > hi {
-			hi = s.arr[i].End()
-		}
-	}
-	m.minAddr, m.maxAddr = lo, hi
 }
 
 // markReported flags tracked records overlapping r as already reported so a

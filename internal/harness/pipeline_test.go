@@ -17,9 +17,9 @@ import (
 	"pmdebugger/internal/workloads"
 )
 
-// differentialConfigs are the four detector configurations the differential
-// suites sweep (the same set index_test.go uses): one per persistency
-// model, plus selective registration.
+// differentialConfigs are the three detector configurations the
+// differential suites sweep (the same set index_test.go uses): one per
+// persistency model.
 func differentialConfigs() []struct {
 	name     string
 	workload string
@@ -31,7 +31,6 @@ func differentialConfigs() []struct {
 		cfg      core.Config
 	}{
 		{"strict", "b_tree", core.Config{Model: rules.Strict}},
-		{"strict-selective", "b_tree", core.Config{Model: rules.Strict, RequireRegistration: true}},
 		{"epoch", "hashmap_tx", core.Config{Model: rules.Epoch}},
 		{"strand", "synth_strand", core.Config{Model: rules.Strand}},
 	}
@@ -85,7 +84,7 @@ func runWorkloadWith(t *testing.T, workload string, cfg core.Config, n int, mode
 }
 
 // TestPipelineDifferentialModels proves inline, eager-pipelined and
-// sharded delivery produce byte-identical reports across all four detector
+// sharded delivery produce byte-identical reports across all three detector
 // configurations on deterministic single-threaded workloads. The strand
 // configuration exercises the genuine fan-out; the others exercise the
 // sharded attach's fallback.

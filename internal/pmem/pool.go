@@ -555,23 +555,6 @@ func (p *Pool) RegisterNamed(name string, addr, size uint64) {
 	})
 }
 
-// RegisterRegion registers an address range for debugging without naming
-// it (the plain Register_pmem call of §6).
-func (p *Pool) RegisterRegion(addr, size uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.checkRange(addr, size)
-	p.emitLocked(trace.Event{Kind: trace.KindRegister, Addr: addr, Size: size})
-}
-
-// UnregisterRegion removes an address range from debugging.
-func (p *Pool) UnregisterRegion(addr, size uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.checkRange(addr, size)
-	p.emitLocked(trace.Event{Kind: trace.KindUnregister, Addr: addr, Size: size})
-}
-
 // NamedRange resolves a name registered with RegisterNamed.
 func (p *Pool) NamedRange(name string) (intervals.Range, bool) {
 	p.mu.Lock()

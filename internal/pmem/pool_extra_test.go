@@ -96,20 +96,6 @@ func TestPersistedBytes(t *testing.T) {
 	}
 }
 
-func TestRegisterUnregisterRegionEvents(t *testing.T) {
-	p := New(1 << 12)
-	rec := trace.NewRecorder(4)
-	p.Attach(rec)
-	p.RegisterRegion(p.Base()+64, 128)
-	p.UnregisterRegion(p.Base()+64, 64)
-	if rec.Count(trace.KindRegister) != 2 { // attach + explicit
-		t.Fatalf("register events = %d", rec.Count(trace.KindRegister))
-	}
-	if rec.Count(trace.KindUnregister) != 1 {
-		t.Fatalf("unregister events = %d", rec.Count(trace.KindUnregister))
-	}
-}
-
 func TestPoolStats(t *testing.T) {
 	p := New(1 << 12)
 	c := p.Ctx()

@@ -206,8 +206,9 @@ type Report struct {
 	Bugs     []Bug
 	Counters Counters
 
-	// Failures records detection-infrastructure failures — a shard
-	// consumer's detector panicking mid-stream, for example. They are not
+	// Failures records detection-infrastructure failures — a served
+	// session's detector panicking or its trace stream breaking off, for
+	// example. They are not
 	// bugs in the program under test: a non-empty Failures means the bug
 	// list may be incomplete and the run should not be trusted as a clean
 	// pass.
@@ -288,7 +289,6 @@ func Merge(detector string, shards []*Report) *Report {
 		}
 		bugs = append(bugs, sh.Bugs...)
 		out.Counters.Merge(sh.Counters)
-		out.Failures = append(out.Failures, sh.Failures...)
 	}
 	sort.SliceStable(bugs, func(i, j int) bool {
 		bi, bj := bugs[i], bugs[j]

@@ -38,7 +38,9 @@ const (
 	KindJoinStrand
 	// KindRegister registers a PM region for debugging (Register_pmem).
 	KindRegister
-	// KindUnregister removes a PM region from debugging.
+	// KindUnregister removes a PM region from debugging
+	// (Unregister_pmem). Decoders accept it and user rules see it, but no
+	// detector here acts on it: tracking always covers the whole pool.
 	KindUnregister
 	// KindTxLogAdd records an undo-log append for a data object inside a
 	// logging-based transaction. Used by the redundant-logging rule (§5.2).

@@ -158,7 +158,7 @@ func (p *Pipeline) HandleEvent(ev Event) {
 		return
 	}
 	p.one[0] = ev
-	Route(p.one[:], p.rings, p.Sync)
+	Route(p.one[:], p.rings)
 }
 
 // HandleBatch implements BatchHandler by staging the whole slice.
@@ -167,7 +167,7 @@ func (p *Pipeline) HandleBatch(evs []Event) {
 		p.rings[0].HandleBatch(evs)
 		return
 	}
-	Route(evs, p.rings, p.Sync)
+	Route(evs, p.rings)
 }
 
 // Sync blocks until every event passed to the pipeline before the call has
@@ -230,18 +230,15 @@ func (p *Pipeline) Err() error {
 //   - Strand-local kinds (Store/Flush/Fence/StrandBegin/StrandEnd) go to
 //     shard uint32(strand) % len(shards). Runs of consecutive same-strand
 //     events go in one call, so the routing cost amortizes away.
-//   - Register/Unregister go to every shard (idempotent region
-//     bookkeeping).
 //   - JoinStrand and End are dropped: joins are inert without order specs,
 //     and shard detectors finalize at Report time.
-//   - Every other kind (epoch boundaries, TxLogAdd) is global: barrier, when
-//     non-nil, drains every shard first, and then the event goes to every
-//     shard, so each shard observes it at the same stream position a
-//     sequential consumer would. Configurations where these events
-//     influence reports do not shard in the first place (core.Shardable);
-//     the barrier keeps the delivery order principled rather than
-//     load-bearing.
-func Route[S BatchHandler](evs []Event, shards []S, barrier func()) {
+//   - Every other kind (Register/Unregister, epoch boundaries, TxLogAdd)
+//     goes to every shard. Each shard's delivery is FIFO, so each observes
+//     it at the same point of its own subsequence that a sequential
+//     consumer would, and no shard reads another's state. Configurations
+//     where epoch and log events influence reports do not shard in the
+//     first place (core.Shardable).
+func Route[S BatchHandler](evs []Event, shards []S) {
 	n := uint32(len(shards))
 	for i := 0; i < len(evs); {
 		switch classify(evs[i].Kind) {
@@ -254,17 +251,12 @@ func Route[S BatchHandler](evs []Event, shards []S, barrier func()) {
 			shards[uint32(strand)%n].HandleBatch(evs[i:j])
 			i = j
 			continue
-		case classGlobal:
-			if barrier != nil {
-				barrier()
-			}
-			fallthrough
 		case classBroadcast:
 			for _, s := range shards {
 				s.HandleBatch(evs[i : i+1])
 			}
 		}
-		i++ // a single dropped, broadcast or global event
+		i++ // a single dropped or broadcast event
 	}
 }
 
@@ -275,19 +267,16 @@ const (
 	classStrandLocal routeClass = iota // to the strand's shard
 	classBroadcast                     // to every shard
 	classDropped                       // to no shard
-	classGlobal                        // barrier, then to every shard
 )
 
 func classify(k Kind) routeClass {
 	switch k {
 	case KindStore, KindFlush, KindFence, KindStrandBegin, KindStrandEnd:
 		return classStrandLocal
-	case KindRegister, KindUnregister:
-		return classBroadcast
 	case KindJoinStrand, KindEnd:
 		return classDropped
 	default:
-		return classGlobal
+		return classBroadcast
 	}
 }
 

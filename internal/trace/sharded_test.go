@@ -47,8 +47,7 @@ func newShardedCollectors(shards int, opts PipelineOptions) (*Pipeline, []*colle
 // partitionByStrand is the reference the router is checked against, built
 // without Route: each shard's subsequence of evs, with strand-local kinds
 // on shard strand % shards, JoinStrand and End nowhere, and every other
-// kind (Register/Unregister, and the globals the router delivers after a
-// barrier) on every shard.
+// kind (Register/Unregister, epoch markers, log adds) on every shard.
 func partitionByStrand(evs []Event, shards int) [][]Event {
 	out := make([][]Event, shards)
 	for _, ev := range evs {
@@ -108,21 +107,13 @@ func TestShardedPipelineMatchesPartition(t *testing.T) {
 }
 
 // TestShardedPipelineGlobalBarrier checks global events (epoch boundaries)
-// are sequenced with a full drain barrier and then broadcast, so every
-// shard observes them at the same stream position a sequential consumer
-// would.
+// are broadcast behind each shard's earlier events, so every shard
+// observes them at the same stream position a sequential consumer would.
 func TestShardedPipelineGlobalBarrier(t *testing.T) {
 	sp, hs := newShardedCollectors(2, PipelineOptions{})
 	sp.HandleEvent(Event{Seq: 1, Kind: KindStore, Addr: 0x1000, Size: 8, Strand: 0})
 	sp.HandleEvent(Event{Seq: 2, Kind: KindStore, Addr: 0x2000, Size: 8, Strand: 1})
 	sp.HandleEvent(Event{Seq: 3, Kind: KindEpochBegin})
-	// The barrier has already drained both shards by the time HandleEvent
-	// returns — each shard must hold its store before the epoch marker.
-	for i, h := range hs {
-		if len(h.events) < 1 {
-			t.Fatalf("shard %d not drained at the barrier", i)
-		}
-	}
 	sp.HandleEvent(Event{Seq: 4, Kind: KindEpochEnd})
 	sp.Close()
 	for i, h := range hs {
@@ -190,7 +181,7 @@ func TestShardedPipelineLifecycle(t *testing.T) {
 // TestPipelineOneShardForwardsVerbatim: with fewer than two shard handlers
 // the pipeline is one ring around its own handler that forwards every
 // event verbatim — End, JoinStrand and globals included — and never
-// barriers, so a lazy ring delivers nothing until it is closed.
+// syncs on its own, so a lazy ring delivers nothing until it is closed.
 func TestPipelineOneShardForwardsVerbatim(t *testing.T) {
 	evs := mkStrandStream(3, 2)
 	evs = append(evs, Event{Seq: 1 << 20, Kind: KindEpochBegin}, Event{Seq: 1<<20 + 1, Kind: KindEnd})
@@ -203,7 +194,7 @@ func TestPipelineOneShardForwardsVerbatim(t *testing.T) {
 		p.HandleEvent(ev)
 	}
 	if len(h.events) != 0 {
-		t.Fatalf("lazy one-ring pipeline delivered %d events before Close: it barriered", len(h.events))
+		t.Fatalf("lazy one-ring pipeline delivered %d events before Close: it synced", len(h.events))
 	}
 	p.Close()
 	if len(unused.events) != 0 || len(h.events) != len(evs) {
@@ -218,7 +209,7 @@ func TestPipelineOneShardForwardsVerbatim(t *testing.T) {
 }
 
 // TestShardedPipelineShardPanic: one shard's handler panicking must not
-// wedge barriers across the other shards, and Err must name the shard.
+// wedge Sync across the other shards, and Err must name the shard.
 func TestShardedPipelineShardPanic(t *testing.T) {
 	bad := &panicAfterHandler{limit: 10}
 	good := &collectHandler{}
