@@ -100,8 +100,8 @@ func FuzzDetectorVsOracle(f *testing.F) {
 // streams of stores, splitting flushes and fences must produce
 // byte-identical reports from the cache-line-indexed detector, at every
 // test scan limit, and the DisableIndex reference scan. Unlike the oracle
-// fuzz above it includes zero-size flushes to probe the empty-range overlap
-// quirk, and Register and Unregister events, which must change nothing.
+// fuzz above it includes zero-size stores and flushes to probe the
+// empty-range overlap quirk.
 func FuzzIndexedVsScan(f *testing.F) {
 	f.Add([]byte{0, 16, 5, 8, 1, 16, 3, 0, 0, 16, 6, 0, 1, 16})
 	f.Add([]byte{0, 0, 0, 64, 5, 32, 1, 0, 2, 0, 3, 0, 4, 192})
@@ -130,8 +130,8 @@ func FuzzIndexedVsScan(f *testing.F) {
 				emit(trace.KindFence, 0, 0)
 			case 4: // store crossing lines
 				emit(trace.KindStore, addr, 64+arg%64)
-			case 5: // unregister a sub-region: inert, tracking stays
-				emit(trace.KindUnregister, addr, arg%128+1)
+			case 5: // zero-size store: tracked, never reported
+				emit(trace.KindStore, addr, 0)
 			case 6: // zero-size flush: empty-range overlap quirk
 				emit(trace.KindFlush, addr, 0)
 			}

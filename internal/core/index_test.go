@@ -74,7 +74,7 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 	addr := func() uint64 { return base + uint64(rng.Intn(window)) }
 	epochOpen, strandOpen := false, false
 	for i := 0; i < n; i++ {
-		switch rng.Intn(20) {
+		switch rng.Intn(21) {
 		case 0, 1, 2, 3, 4, 5, 6:
 			emit(trace.KindStore, addr(), uint64(rng.Intn(24))+1)
 		case 7, 8:
@@ -119,6 +119,9 @@ func genFlavorStream(rng *rand.Rand, flavor streamFlavor, n int) []trace.Event {
 			// Dispersed store far from the window: keeps old intervals
 			// reachable so the MRU probe's negative filter is exercised.
 			emit(trace.KindStore, base+uint64(window)*4+uint64(rng.Intn(window)), 8)
+		case 20:
+			// Zero-size store: tracked like any store, never reported.
+			emit(trace.KindStore, addr(), 0)
 		}
 	}
 	if epochOpen {
@@ -177,6 +180,39 @@ func TestIndexedMatchesScanRandom(t *testing.T) {
 					requireIdentical(t, idx, scan, fmt.Sprintf("%s/%s/limit=%d", fl.name, sh.name, limit))
 				}
 			}
+		}
+	}
+}
+
+// TestZeroSizeStoreNeverReported checks that a store of zero bytes, which
+// pmem never emits but a decoded trace or a direct HandleEvent caller may,
+// writes nothing that needs persisting: no no-durability bug at End whether it sits
+// in the array, was moved to the tree by a fence, or spilled there from a
+// full array, on the indexed detector at every test scan limit and on the
+// reference scan.
+func TestZeroSizeStoreNeverReported(t *testing.T) {
+	const a = 0x1000_0000
+	evs := []trace.Event{
+		{Kind: trace.KindStore, Addr: a, Size: 0}, // unflushed at the fence
+		{Kind: trace.KindFence},
+		{Kind: trace.KindStore, Addr: a + 64, Size: 8},
+		{Kind: trace.KindStore, Addr: a + 128, Size: 8},
+		{Kind: trace.KindStore, Addr: a + 192, Size: 0}, // array full: spills
+		{Kind: trace.KindFlush, Addr: a + 64, Size: 128},
+		{Kind: trace.KindFence},
+		{Kind: trace.KindStore, Addr: a + 256, Size: 0}, // in the array at End
+		{Kind: trace.KindEnd},
+	}
+	for i := range evs {
+		evs[i].Seq = uint64(i + 1)
+	}
+	cfg := Config{Model: rules.Strict, ArrayCapacity: 2}
+	for _, limit := range testScanLimits {
+		idx, scan := replayPair(t, cfg, limit, evs)
+		requireIdentical(t, idx, scan, fmt.Sprintf("limit=%d", limit))
+		if len(idx.Bugs) != 0 || idx.Counters.ArraySpills != 1 {
+			t.Fatalf("limit %d: want no bugs and one spill, got %d spills:\n%s",
+				limit, idx.Counters.ArraySpills, idx.Summary())
 		}
 	}
 }

@@ -20,9 +20,11 @@ import (
 // replaying the stream sequentially into one Detector. Configurations that
 // cannot shard (non-strand models, order specs, epoch-scoped rules) replay
 // sequentially; global events in a strand trace (epoch markers, log adds)
-// go to every shard, each at its point in that shard's subsequence.
+// go to every shard, each at its point in that shard's subsequence. A shard
+// engine that panics is listed in the report's Failures, whose Summary then
+// warns that the bug list may be incomplete.
 func ReplayParallel(events []trace.Event, cfg Config, workers int) *report.Report {
-	rep, _ := replaySharded(cfg, workers, func(h trace.Handler) error {
+	rep, _ := replaySharded(newReplayDetector(cfg, workers), func(h trace.Handler) error {
 		trace.ReplayEvents(events, h)
 		return nil
 	})
@@ -30,22 +32,32 @@ func ReplayParallel(events []trace.Event, cfg Config, workers int) *report.Repor
 }
 
 // ReplayStream is ReplayParallel over an encoded trace read from r, decoded
-// batch by batch without materializing it.
+// batch by batch without materializing it. A shard engine's panic is
+// returned as an error naming the shard.
 func ReplayStream(r io.Reader, cfg Config, workers int) (*report.Report, error) {
-	return replaySharded(cfg, workers, func(h trace.Handler) error {
+	rep, err := replaySharded(newReplayDetector(cfg, workers), func(h trace.Handler) error {
 		_, err := trace.StreamTrace(r, h)
 		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
-// replaySharded runs feed into a sharded detector — through a strand-routed
-// pipeline, or straight into the single engine when the detector falls
-// back — and returns the merged report.
-func replaySharded(cfg Config, workers int, feed func(trace.Handler) error) (*report.Report, error) {
+func newReplayDetector(cfg Config, workers int) *ShardedDetector {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sd := NewSharded(cfg, workers)
+	return NewSharded(cfg, workers)
+}
+
+// replaySharded runs feed into sd — through a strand-routed pipeline, or
+// straight into the single engine when sd falls back — and returns the
+// merged report. When a shard engine panicked on its ring, the report
+// lists the pipeline's error among its Failures and the error is returned
+// beside it.
+func replaySharded(sd *ShardedDetector, feed func(trace.Handler) error) (*report.Report, error) {
 	if sd.Fallback() {
 		if err := feed(sd); err != nil {
 			return nil, err
@@ -58,5 +70,10 @@ func replaySharded(cfg Config, workers int, feed func(trace.Handler) error) (*re
 	if err != nil {
 		return nil, err
 	}
-	return sd.Report(), nil
+	rep := sd.Report()
+	if err := pipe.Err(); err != nil {
+		rep.AddFailure(err.Error())
+		return rep, err
+	}
+	return rep, nil
 }

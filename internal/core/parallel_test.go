@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmdebugger/internal/pmem"
@@ -107,9 +108,9 @@ func TestReplayParallelFallsBackForNonStrandConfigs(t *testing.T) {
 }
 
 func TestReplayParallelFallsBackOnEpochTrace(t *testing.T) {
-	// A strand config over a trace with epoch markers: the router drains
-	// every shard before each marker and the merged report must still be
-	// the sequential one.
+	// A strand config over a trace with epoch markers: the router sends
+	// each marker to every shard and the merged report must still be the
+	// sequential one.
 	var evs []trace.Event
 	seq := uint64(0)
 	emit := func(k trace.Kind, strand int32, addr, size uint64) {
@@ -126,6 +127,30 @@ func TestReplayParallelFallsBackOnEpochTrace(t *testing.T) {
 
 	cfg := Config{Model: rules.Strand}
 	assertSameReport(t, sequentialReport(evs, cfg), ReplayParallel(evs, cfg, 4), "epoch-trace")
+}
+
+// TestReplayParallelSurfacesShardPanic breaks one shard engine behind the
+// replay's routed pipeline. The replay must finish, return an error naming
+// the shard (ReplayStream's error, which makes pmtrace -replay -parallel
+// exit 1) and list it among the report's Failures (what ReplayParallel
+// keeps), while the healthy shard's findings survive the merge.
+func TestReplayParallelSurfacesShardPanic(t *testing.T) {
+	rec := recordStrandTrace(t, 60)
+	sd := NewSharded(Config{Model: rules.Strand}, 2)
+	sd.handlers[1] = (*Detector)(nil) // first delivery on shard 1 panics
+	rep, err := replaySharded(sd, func(h trace.Handler) error {
+		trace.ReplayEvents(rec.Events, h)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 1 handler panicked") {
+		t.Fatalf("err = %v, want shard 1's recovered panic", err)
+	}
+	if len(rep.Failures) != 1 || rep.Failures[0] != err.Error() {
+		t.Fatalf("Failures = %q, want the pipeline's error", rep.Failures)
+	}
+	if !strings.Contains(rep.Summary(), "1 detection failure(s)") || !rep.Has(report.NoDurability) {
+		t.Fatalf("want the failure and the healthy shard's bugs in:\n%s", rep.Summary())
+	}
 }
 
 func TestReplayParallelStreamMatchesSequential(t *testing.T) {
