@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pmdebugger/internal/avl"
@@ -97,8 +98,9 @@ type Detector struct {
 	epochBegan  uint64 // seq of the active epoch's begin event
 
 	// redundant-logging shadow (§5.2): object ranges logged in the current
-	// epoch section.
-	logged []avl.Item
+	// epoch section, sorted and disjoint (an overlapping add is reported,
+	// not inserted), so both Addr and End ascend.
+	logged []intervals.Range
 
 	userRules []UserRule
 	ended     bool
@@ -355,18 +357,19 @@ func (d *Detector) txLogAdd(ev *trace.Event) {
 		return
 	}
 	r := intervals.R(ev.Addr, ev.Size)
-	for _, prev := range d.logged {
-		if prev.Range().Overlaps(r) {
-			d.rep.Add(report.Bug{
-				Type: report.RedundantLogging,
-				Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq,
-				Site: ev.Site, Strand: ev.Strand,
-				Message: "object logged more than once in a single transaction",
-			})
-			return
-		}
+	// Every range before i ends at or before r starts, and none after i
+	// starts before the one at i, so only that one can overlap r.
+	i := sort.Search(len(d.logged), func(i int) bool { return d.logged[i].End() > r.Addr })
+	if i < len(d.logged) && d.logged[i].Overlaps(r) {
+		d.rep.Add(report.Bug{
+			Type: report.RedundantLogging,
+			Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq,
+			Site: ev.Site, Strand: ev.Strand,
+			Message: "object logged more than once in a single transaction",
+		})
+		return
 	}
-	d.logged = append(d.logged, avl.Item{Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq, Site: ev.Site})
+	d.logged = slices.Insert(d.logged, i, r)
 }
 
 // finish runs the end-of-program rules (§4.5): remaining records are

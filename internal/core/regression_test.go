@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"pmdebugger/internal/intervals"
 	"pmdebugger/internal/report"
 	"pmdebugger/internal/rules"
 	"pmdebugger/internal/trace"
@@ -102,6 +105,91 @@ func TestTxLogAddInsideEpochStillDetected(t *testing.T) {
 	d.HandleEvent(trace.Event{Seq: 4, Kind: trace.KindEpochEnd})
 	if !d.Report().Has(report.RedundantLogging) {
 		t.Fatalf("double log inside a transaction must still report:\n%s", d.Report().Summary())
+	}
+}
+
+// linearLogRule is the redundant-logging rule as the detector first ran it,
+// each log add against every range logged earlier in the transaction: the
+// reference for the detector's sorted shadow.
+type linearLogRule struct {
+	rep    *report.Report
+	active bool
+	logged []intervals.Range
+}
+
+func (l *linearLogRule) HandleEvent(ev trace.Event) {
+	switch ev.Kind {
+	case trace.KindEpochBegin:
+		l.active = true
+		l.logged = l.logged[:0]
+	case trace.KindEpochEnd:
+		l.active = false
+		l.logged = l.logged[:0]
+	case trace.KindTxLogAdd:
+		if !l.active {
+			return
+		}
+		r := intervals.R(ev.Addr, ev.Size)
+		for _, prev := range l.logged {
+			if prev.Overlaps(r) {
+				l.rep.Add(report.Bug{
+					Type: report.RedundantLogging,
+					Addr: ev.Addr, Size: ev.Size, Seq: ev.Seq,
+					Site: ev.Site, Strand: ev.Strand,
+					Message: "object logged more than once in a single transaction",
+				})
+				return
+			}
+		}
+		l.logged = append(l.logged, r)
+	}
+}
+
+// TestRedundantLoggingMatchesLinearScan drives random log-add streams
+// through the detector and the linear reference and requires identical
+// reports. Adds land on a small address span, so they overlap, abut and
+// repeat; sizes include zero, which overlaps only a range it lies strictly
+// inside; some adds fall outside any transaction, and epochs begin again
+// while one is open.
+func TestRedundantLoggingMatchesLinearScan(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := New(Config{Model: rules.Epoch, Rules: rules.RuleRedundantLogging})
+		ref := &linearLogRule{rep: report.New("reference")}
+		var seq uint64
+		emit := func(ev trace.Event) {
+			seq++
+			ev.Seq = seq
+			d.HandleEvent(ev)
+			ref.HandleEvent(ev)
+		}
+		for i := 0; i < 400; i++ {
+			switch x := rng.Intn(40); {
+			case x == 0:
+				emit(trace.Event{Kind: trace.KindEpochBegin}) // nested when one is open
+			case x == 1:
+				emit(trace.Event{Kind: trace.KindEpochEnd})
+			default:
+				size := uint64(rng.Intn(24))
+				if rng.Intn(4) == 0 {
+					size = 0
+				}
+				emit(trace.Event{
+					Kind: trace.KindTxLogAdd,
+					Addr: 0x1000 + uint64(rng.Intn(512)), Size: size,
+					Strand: int32(rng.Intn(2)), Site: trace.SiteID(rng.Intn(3)),
+				})
+			}
+		}
+		emit(trace.Event{Kind: trace.KindEnd})
+		got, want := d.Report().Bugs, ref.rep.Bugs
+		if len(want) == 0 {
+			t.Fatalf("seed %d: the reference reported nothing; the stream tests nothing", seed)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: detector reported %d bugs, linear reference %d:\n%v\n%v",
+				seed, len(got), len(want), got, want)
+		}
 	}
 }
 

@@ -122,14 +122,12 @@ type Pool struct {
 	// counts, detach and program end. For a routed pipeline the drain is a
 	// barrier across every shard, so drain-before-trap covers every shard.
 	conduits []*trace.Pipeline
-	// fastPipe enables the zero-copy emission path: when the only attached
-	// handler is a pipeline (the async-benchmark shape), the strand-local
-	// hot-path emitters construct each event directly in its ring's staging
-	// slab instead of copying it through emitLocked and the handler
-	// fan-out. Nil whenever any other handler is attached or a crash trap
-	// is armed.
-	fastPipe *trace.Pipeline
-	seq      uint64
+	// lone is the one attached handler while no crash trap is armed, else
+	// nil. The pool hands it every event directly, the store, flush and
+	// fence emitters building it at the call, instead of through the
+	// fan-out, whose copy of the event stalls a store-to-load forward.
+	lone trace.Handler
+	seq  uint64
 	// trapAfter, when non-zero, makes the pool panic with CrashTrap once
 	// seq reaches it — the injection point for systematic crash testing
 	// (package crashtest).
@@ -240,25 +238,23 @@ func (p *Pool) AttachWith(h trace.Handler, opts AttachOptions) *trace.Pipeline {
 		target = pipe
 	}
 	p.handlers = append(p.handlers, target)
+	p.refreshFastPathLocked() // before the Register, which every handler gets
 	p.emitLocked(trace.Event{
 		Kind: trace.KindRegister,
 		Addr: p.base,
 		Size: p.Size(),
 	})
-	p.refreshFastPathLocked()
 	return pipe
 }
 
-// refreshFastPathLocked recomputes the zero-copy emission path: it is taken
-// only when the sole attached handler is a pipeline and no crash trap is
-// armed, so the generic path keeps handling fan-out and trap delivery.
-// Callers hold p.mu.
+// refreshFastPathLocked recomputes lone: set only when exactly one handler
+// is attached and no crash trap is armed, so emitLocked keeps handling
+// fan-out and trap delivery. Callers hold p.mu.
 func (p *Pool) refreshFastPathLocked() {
-	p.fastPipe = nil
-	if p.trapAfter != 0 || len(p.handlers) != 1 {
-		return
+	p.lone = nil
+	if p.trapAfter == 0 && len(p.handlers) == 1 {
+		p.lone = p.handlers[0]
 	}
-	p.fastPipe, _ = p.handlers[0].(*trace.Pipeline)
 }
 
 // Detach removes a previously attached handler, identified either directly
@@ -311,14 +307,19 @@ func (p *Pool) SetCrashTrap(n uint64) {
 	p.refreshFastPathLocked()
 }
 
-// emitLocked assigns a sequence number and fans the event out. Callers hold
-// p.mu.
+// emitLocked assigns a sequence number and hands the event to the lone
+// handler, else fans it out and fires an armed trap. Callers hold p.mu.
 func (p *Pool) emitLocked(ev trace.Event) {
 	p.seq++
 	ev.Seq = p.seq
+	if h := p.lone; h != nil {
+		h.HandleEvent(ev) // no trap is armed
+		return
+	}
 	p.handlers.HandleEvent(ev)
 	if p.trapAfter != 0 && p.seq >= p.trapAfter {
 		p.trapAfter = 0
+		p.refreshFastPathLocked()
 		// Drain asynchronous handlers before the unwind: the trapped
 		// event executed, then the power failed, and every detector must
 		// have seen the full stream up to and including it.
@@ -486,13 +487,12 @@ func (p *Pool) storeTailLocked(addr, size uint64, strand, thread int32, site tra
 	p.stats.Stores++
 	p.stats.BytesStored += size
 	p.markStoredLines(p.off(addr)/LineSize, p.off(addr+size-1)/LineSize)
-	if fp := p.fastPipe; fp != nil {
-		// Zero-copy: construct the event in its ring's staging slab itself.
+	if h := p.lone; h != nil {
 		p.seq++
-		*fp.StrandSlot(strand) = trace.Event{
+		h.HandleEvent(trace.Event{
 			Seq: p.seq, Kind: trace.KindStore, Addr: addr, Size: size,
 			Strand: strand, Thread: thread, Site: site,
-		}
+		})
 		return
 	}
 	p.emitLocked(trace.Event{
@@ -509,13 +509,13 @@ func (p *Pool) flushLocked(addr, size uint64, kind trace.FlushKind, strand, thre
 	p.stats.Flushes++
 	span := intervals.SpanLines(intervals.R(addr, size))
 	p.stageLines(p.off(span.Addr)/LineSize, p.off(span.End()-1)/LineSize)
-	if fp := p.fastPipe; fp != nil {
+	if h := p.lone; h != nil {
 		p.seq++
-		*fp.StrandSlot(strand) = trace.Event{
+		h.HandleEvent(trace.Event{
 			Seq: p.seq, Kind: trace.KindFlush, Flush: kind,
 			Addr: span.Addr, Size: span.Size,
 			Strand: strand, Thread: thread, Site: site,
-		}
+		})
 		return
 	}
 	p.emitLocked(trace.Event{
@@ -530,11 +530,9 @@ func (p *Pool) flushLocked(addr, size uint64, kind trace.FlushKind, strand, thre
 func (p *Pool) fenceLocked(strand, thread int32) {
 	p.stats.Fences++
 	p.commitPending()
-	if fp := p.fastPipe; fp != nil {
+	if h := p.lone; h != nil {
 		p.seq++
-		*fp.StrandSlot(strand) = trace.Event{
-			Seq: p.seq, Kind: trace.KindFence, Strand: strand, Thread: thread,
-		}
+		h.HandleEvent(trace.Event{Seq: p.seq, Kind: trace.KindFence, Strand: strand, Thread: thread})
 		return
 	}
 	p.emitLocked(trace.Event{Kind: trace.KindFence, Strand: strand, Thread: thread})

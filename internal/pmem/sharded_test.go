@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"reflect"
 	"testing"
 
 	"pmdebugger/internal/core"
@@ -30,7 +31,7 @@ func driveStrands(p *Pool, n int) {
 
 // TestShardedAttachReportEquality is the pool-level differential: a
 // ShardedDetector attached with AttachOptions.Shards — per-shard consumer
-// goroutines, zero-copy StrandSlot staging and all — must report exactly
+// goroutines, direct slot staging and all — must report exactly
 // what an inline engine reports for the same program.
 func TestShardedAttachReportEquality(t *testing.T) {
 	program := func(p *Pool) {
@@ -196,26 +197,165 @@ func TestShardedDetachClosesConduit(t *testing.T) {
 	driveStrands(p, 10)
 }
 
-// TestShardedFastPathEngaged checks the zero-copy fast path is active
-// exactly when the sharded pipeline is the sole handler and no trap is
-// armed.
-func TestShardedFastPathEngaged(t *testing.T) {
-	p := New(1 << 20)
-	sd := core.NewSharded(strandCfg(), 2)
-	pipe := p.AttachWith(sd, AttachOptions{Async: true, Shards: 2})
-	if p.fastPipe != pipe {
-		t.Fatal("fast path not engaged for a sole sharded pipeline")
+// TestLoneHandlerFastPath checks the pool hands events straight to the
+// attached handler exactly when it is the only one and no crash trap is
+// armed, whatever the handler is.
+func TestLoneHandlerFastPath(t *testing.T) {
+	attaches := []struct {
+		name   string
+		attach func(p *Pool) trace.Handler // returns what p.lone must be
+	}{
+		{"inline detector", func(p *Pool) trace.Handler {
+			d := core.New(strandCfg())
+			p.Attach(d)
+			return d
+		}},
+		{"recorder", func(p *Pool) trace.Handler {
+			r := trace.NewRecorder(16)
+			p.Attach(r)
+			return r
+		}},
+		{"pipeline", func(p *Pool) trace.Handler {
+			return p.AttachAsync(core.New(strandCfg()))
+		}},
+		{"sharded pipeline", func(p *Pool) trace.Handler {
+			pipe := p.AttachWith(core.NewSharded(strandCfg(), 2), AttachOptions{Async: true, Shards: 2})
+			if pipe.Shards() != 2 {
+				t.Fatalf("sharded attach built %d rings, want 2", pipe.Shards())
+			}
+			return pipe
+		}},
 	}
-	p.SetCrashTrap(1 << 40)
-	if p.fastPipe != nil {
-		t.Fatal("fast path still engaged with a trap armed")
+	for _, a := range attaches {
+		p := New(1 << 20)
+		want := a.attach(p)
+		if p.lone != want {
+			t.Fatalf("%s: fast path not taken for the lone handler", a.name)
+		}
+		p.SetCrashTrap(1 << 40)
+		if p.lone != nil {
+			t.Fatalf("%s: fast path still taken with a trap armed", a.name)
+		}
+		p.SetCrashTrap(0)
+		if p.lone != want {
+			t.Fatalf("%s: fast path not back after the trap cleared", a.name)
+		}
+		second := trace.NewRecorder(16)
+		p.Attach(second)
+		if p.lone != nil {
+			t.Fatalf("%s: fast path still taken with a second handler attached", a.name)
+		}
+		if second.Count(trace.KindRegister) != 1 {
+			t.Fatalf("%s: the second handler missed its own attach Register", a.name)
+		}
+		p.Detach(second)
+		if p.lone != want {
+			t.Fatalf("%s: fast path not back after the second handler detached", a.name)
+		}
+		// A trap that fires clears itself, and the fast path comes back.
+		p.SetCrashTrap(p.seq + 1)
+		func() {
+			defer func() {
+				if _, ok := recover().(CrashTrap); !ok {
+					t.Fatalf("%s: trap did not fire", a.name)
+				}
+			}()
+			p.Ctx().Fence()
+		}()
+		if p.lone != want {
+			t.Fatalf("%s: fast path not back after the trap fired", a.name)
+		}
+		driveStrands(p, 10)
+		p.End()
 	}
-	p.SetCrashTrap(0)
-	if p.fastPipe != pipe {
-		t.Fatal("fast path not re-engaged after the trap cleared")
+}
+
+// everyKindProgram emits every event kind the pool emits, with every flush
+// instruction, from a pool that has already been attached to.
+func everyKindProgram(p *Pool) {
+	c := p.Ctx()
+	base := p.Base()
+	p.RegisterNamed("head", base, 64)
+	c.Store64(base, 1)
+	c.StoreBytes(base+64, []byte("persistent"))
+	c.Flush(base, 8)
+	c.FlushKind(base+64, 10, trace.CLFLUSH)
+	c.FlushKind(base+128, 1, trace.CLFLUSHOPT)
+	c.Fence()
+	c.EpochBegin()
+	c.TxLogAdd(base+256, 16)
+	c.At(trace.RegisterSite("tx.store")).Store32(base+256, 7)
+	c.Persist(base+256, 4)
+	c.EpochEnd()
+	for i := uint64(0); i < 3; i++ {
+		st := c.StrandBegin()
+		st.Store16(base+512+i*LineSize, uint16(i))
+		st.Persist(base+512+i*LineSize, 2)
+		st.StrandEnd()
 	}
-	p.Attach(trace.NewRecorder(16))
-	if p.fastPipe != nil {
-		t.Fatal("fast path still engaged with a second handler attached")
+	c.JoinStrand()
+	c.Store8(base+1024, 9) // left unflushed
+	p.End()
+}
+
+// TestLoneHandlerStreamMatchesFanOut requires a recorder to receive the
+// same events, Seq included, whether it is the pool's lone handler (the
+// pool calls it directly) or sits beside a second handler (emitLocked's
+// fan-out), and requires a crash trap to deliver the trapped event before
+// its panic.
+func TestLoneHandlerStreamMatchesFanOut(t *testing.T) {
+	// attach gives a pool the recorder and a second handler, kept for the
+	// fan-out and detached for the lone path; both streams see the second
+	// handler's Register.
+	attach := func(keepSecond bool) (*Pool, *trace.Recorder) {
+		p := New(1 << 20)
+		rec := trace.NewRecorder(256)
+		p.Attach(rec)
+		second := trace.NewRecorder(256)
+		p.Attach(second)
+		if !keepSecond {
+			p.Detach(second)
+			if p.lone != trace.Handler(rec) {
+				t.Fatal("recorder is not the lone handler after the detach")
+			}
+		}
+		return p, rec
+	}
+	record := func(keepSecond bool) *trace.Recorder {
+		p, rec := attach(keepSecond)
+		everyKindProgram(p)
+		return rec
+	}
+	lone, fanOut := record(false), record(true)
+	if !reflect.DeepEqual(lone.Events, fanOut.Events) {
+		t.Fatalf("lone-handler stream differs from the fan-out stream:\n%v\n%v", lone.Events, fanOut.Events)
+	}
+	for k := trace.KindStore; k <= trace.KindEnd; k++ {
+		if k == trace.KindUnregister {
+			continue // the pool never emits it
+		}
+		if lone.Count(k) == 0 {
+			t.Fatalf("program emitted no %v event", k)
+		}
+	}
+
+	// A trap on each event: the recorder holds the stream up to and
+	// including the trapped event, and nothing after it.
+	ref := lone.Events
+	for n := ref[1].Seq + 1; n <= ref[len(ref)-1].Seq; n++ {
+		p, rec := attach(false)
+		p.SetCrashTrap(n)
+		var trap CrashTrap
+		func() {
+			defer func() { trap, _ = recover().(CrashTrap) }()
+			everyKindProgram(p)
+		}()
+		if trap.Seq != n {
+			t.Fatalf("trap at %d: recovered %+v", n, trap)
+		}
+		if got := rec.Events; len(got) == 0 || got[len(got)-1].Seq != n ||
+			!reflect.DeepEqual(got, ref[:len(got)]) {
+			t.Fatalf("trap at %d: recorder holds %v, want the reference stream through seq %d", n, got, n)
+		}
 	}
 }

@@ -49,9 +49,17 @@ func TestPipelineUseAfterClosePanics(t *testing.T) {
 	p := NewPipeline(&collectHandler{}, PipelineOptions{})
 	p.HandleEvent(Event{Seq: 1})
 	p.Close()
-	mustPanic("StrandSlot", func() { p.StrandSlot(0) })
 	mustPanic("HandleEvent", func() { p.HandleEvent(Event{Seq: 2}) })
 	mustPanic("HandleBatch", func() { p.HandleBatch(mkEvents(3)) })
+
+	// A routed pipeline writes a strand-local event straight into its
+	// strand's ring and routes every other kind: both paths check.
+	sp, _ := newShardedCollectors(2, PipelineOptions{})
+	sp.HandleEvent(Event{Seq: 1, Kind: KindStore, Strand: 1})
+	sp.Close()
+	mustPanic("routed HandleEvent", func() { sp.HandleEvent(Event{Seq: 2, Kind: KindFence, Strand: 1}) })
+	mustPanic("routed HandleEvent of a global kind", func() { sp.HandleEvent(Event{Seq: 3, Kind: KindEpochBegin}) })
+	mustPanic("routed HandleBatch", func() { sp.HandleBatch(mkEvents(3)) })
 }
 
 // panicAfterHandler consumes events normally until it has seen limit of

@@ -46,11 +46,13 @@ import (
 //     the call has been delivered to its handler; the pool invokes it
 //     before crash-trap panics, crash-image snapshots and final checks.
 //
-// The producer side (HandleEvent, HandleBatch, StrandSlot, Sync, Close)
-// must be externally serialized — the emitting pool's mutex already
-// provides this. Handlers run on consumer goroutines and must not call back
-// into the producer while it holds that serialization (the pool's detectors
-// never do).
+// The producer side (HandleEvent, HandleBatch, Sync, Close) must be
+// externally serialized — the emitting pool's mutex already provides this.
+// A pool whose one handler is the pipeline calls HandleEvent directly for
+// every event, with no fan-out in between, so each event is written once,
+// into its ring's staging slot. Handlers run on consumer goroutines and
+// must not call back into the producer while it holds that serialization
+// (the pool's detectors never do).
 //
 // Two drain disciplines are available (PipelineOptions.Lazy):
 //
@@ -135,30 +137,26 @@ func (p *Pipeline) Handler() Handler { return p.h }
 // Shards returns the number of rings: 1 unless the pipeline routes.
 func (p *Pipeline) Shards() int { return len(p.rings) }
 
-// StrandSlot is the zero-copy producer path: it hands out an in-place
-// pointer to the next staging slot of the strand's ring, shipping that
-// ring's previous slab first when it is full. The caller must assign every
-// field of the returned Event before its next call into the pipeline, and
-// must only use it for strand-local event kinds (store, flush, fence,
-// strand begin/end) — everything else goes through HandleEvent so it is
-// routed.
-func (p *Pipeline) StrandSlot(strand int32) *Event {
+// HandleEvent implements Handler: it writes ev straight into its ring's
+// staging slot, handing slabs to the consumers as they fill. A routed
+// pipeline sends a strand-local event to its strand's ring and every other
+// kind through Route. It never runs a handler itself.
+func (p *Pipeline) HandleEvent(ev Event) {
 	r := p.rings[0]
 	if n := uint32(len(p.rings)); n > 1 {
-		r = p.rings[uint32(strand)%n]
+		if classify(ev.Kind) != classStrandLocal {
+			p.one[0] = ev
+			Route(p.one[:], p.rings)
+			return
+		}
+		r = p.rings[uint32(ev.Strand)%n]
 	}
-	return r.slot()
-}
-
-// HandleEvent implements Handler: it stages ev, handing slabs to the
-// consumers as they fill. It never runs a handler itself.
-func (p *Pipeline) HandleEvent(ev Event) {
-	if len(p.rings) == 1 {
-		p.rings[0].HandleEvent(ev)
-		return
-	}
-	p.one[0] = ev
-	Route(p.one[:], p.rings)
+	// Field by field: a whole-struct copy reloads the spilled argument with
+	// 16-byte loads that straddle its 8-, 4- and 1-byte spill stores, so
+	// the store-to-load forward fails on every event.
+	s := r.slot()
+	s.Seq, s.Addr, s.Size, s.Kind, s.Flush = ev.Seq, ev.Addr, ev.Size, ev.Kind, ev.Flush
+	s.Strand, s.Thread, s.Site = ev.Strand, ev.Thread, ev.Site
 }
 
 // HandleBatch implements BatchHandler by staging the whole slice.
@@ -187,7 +185,7 @@ func (p *Pipeline) Sync() {
 // Close drains every ring and stops the consumer goroutines, concurrently,
 // returning once each handler has seen every staged event and every slab is
 // back in the shared pool. Close is idempotent; after it returns, Sync is a
-// no-op and HandleEvent, HandleBatch and StrandSlot panic.
+// no-op and HandleEvent and HandleBatch panic.
 func (p *Pipeline) Close() {
 	for i, r := range p.rings {
 		p.waits[i] = r.closeBegin()

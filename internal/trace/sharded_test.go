@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -126,35 +127,34 @@ func TestShardedPipelineGlobalBarrier(t *testing.T) {
 	}
 }
 
-// TestShardedPipelineStrandSlot exercises the zero-copy producer path.
-func TestShardedPipelineStrandSlot(t *testing.T) {
+// TestShardedPipelineHandleEventSlots drives HandleEvent's direct slot
+// writes, the path a pool's lone pipeline takes for every store, flush and
+// fence, across several slab handoffs on shallow rings, with global kinds
+// routed in between: each shard must see exactly its partition.
+func TestShardedPipelineHandleEventSlots(t *testing.T) {
 	const shards = 4
-	sp, hs := newShardedCollectors(shards, PipelineOptions{})
-	const n = 1000
-	for i := 0; i < n; i++ {
-		strand := int32(i % 5)
-		*sp.StrandSlot(strand) = Event{
-			Seq: uint64(i + 1), Kind: KindStore, Addr: 0x1000 + uint64(i)*8, Size: 8, Strand: strand,
+	sp, hs := newShardedCollectors(shards, PipelineOptions{Depth: 2})
+	var evs []Event
+	for i := 0; i < 3*DefaultBatchSize; i++ {
+		seq := uint64(len(evs) + 1)
+		if i%1000 == 999 {
+			evs = append(evs, Event{Seq: seq, Kind: KindEpochBegin + Kind(i/1000%2)})
+			continue
 		}
+		strand := int32(i % 5)
+		evs = append(evs, Event{
+			Seq: seq, Kind: KindStore + Kind(i%3), Addr: 0x1000 + uint64(i)*8, Size: 8, Strand: strand,
+		})
+	}
+	for _, ev := range evs {
+		sp.HandleEvent(ev)
 	}
 	sp.Sync()
-	total := 0
+	want := partitionByStrand(evs, shards)
 	for i, h := range hs {
-		for _, ev := range h.events {
-			if got := int(uint32(ev.Strand) % shards); got != i {
-				t.Fatalf("shard %d received event for strand %d (shard %d)", i, ev.Strand, got)
-			}
+		if !reflect.DeepEqual(h.events, want[i]) {
+			t.Fatalf("shard %d: got %d events, partition has %d, or they differ", i, len(h.events), len(want[i]))
 		}
-		// Per-shard order must be the original subsequence order.
-		for j := 1; j < len(h.events); j++ {
-			if h.events[j].Seq <= h.events[j-1].Seq {
-				t.Fatalf("shard %d out of order at %d: %v after %v", i, j, h.events[j], h.events[j-1])
-			}
-		}
-		total += len(h.events)
-	}
-	if total != n {
-		t.Fatalf("shards delivered %d events, want %d", total, n)
 	}
 	sp.Close()
 }
@@ -216,9 +216,9 @@ func TestShardedPipelineShardPanic(t *testing.T) {
 	sp := NewPipeline(nil, PipelineOptions{Depth: 2, Shards: []Handler{good, bad}})
 	for i := 0; i < 4*DefaultBatchSize; i++ {
 		strand := int32(i % 2)
-		*sp.StrandSlot(strand) = Event{
+		sp.HandleEvent(Event{
 			Seq: uint64(i + 1), Kind: KindStore, Addr: 0x1000, Size: 8, Strand: strand,
-		}
+		})
 	}
 	sp.Sync() // must not hang on the poisoned shard
 	err := sp.Err()
